@@ -313,6 +313,28 @@ TEST(TransportGolden, IdealFleetFingerprintUnchangedBitForBit) {
             t.fingerprint());
 }
 
+// Absolute goldens for the scenario families the repo benchmark runs
+// (perfbench fleet-wan and fleet-churn), at sizes that finish in well under
+// a second. A representation change in the DHT (routing state, liveness
+// bookkeeping, maintenance timers) must not move a single draw or event.
+
+TEST(TransportGolden, WanPoissonFleetFingerprintPinned) {
+  core::SweepRunner sweeps(core::SweepOptions{2, 64});
+  const workload::ScenarioSpec spec = workload::parse_scenario(
+      "poisson-open:net=wan,population=2000,sessions=300,worlds=1,seed=0x13");
+  EXPECT_EQ(workload::run_scenario(sweeps, spec).fingerprint(),
+            0xc93738c00e14cffbULL);
+}
+
+TEST(TransportGolden, CalmTransientsFleetFingerprintPinned) {
+  // Transient outages: the same ids leave and rejoin throughout the run.
+  core::SweepRunner sweeps(core::SweepOptions{2, 64});
+  const workload::ScenarioSpec spec = workload::parse_scenario(
+      "calm-transients:population=3000,sessions=120,worlds=1,seed=0x13");
+  EXPECT_EQ(workload::run_scenario(sweeps, spec).fingerprint(),
+            0x7f86b6b7fa85cfc5ULL);
+}
+
 // -- thread-count invariance of a lossy WAN fleet -----------------------------
 
 TEST(TransportInvariance, LossyWanFleetBitIdenticalAcrossThreadCounts) {
