@@ -21,6 +21,9 @@
 //                    defaults; 0 disables the budget gate)
 //   --quick          pinned set without the 10k scenarios (fast local
 //                    smoke; the perf-smoke CI job runs the full pinned set)
+//   --help           print the flag table and exit
+// Unknown flags, malformed values and stray arguments exit 2 with a
+// diagnostic listing the known flags.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -28,6 +31,8 @@
 
 #include "bench_common.hpp"
 #include "cloud/cloud_store.hpp"
+#include "common/error.hpp"
+#include "common/options.hpp"
 #include "common/rng.hpp"
 #include "dht/chord_network.hpp"
 #include "dht/churn_driver.hpp"
@@ -187,52 +192,68 @@ std::vector<PerfScenario> pinned_scenarios(bool quick) {
   return set;
 }
 
-double parse_seconds(const std::string& text, double fallback) {
-  try {
-    return std::stod(text);
-  } catch (...) {
-    std::cerr << "# warning: ignoring malformed --max-seconds '" << text
-              << "'\n";
-    return fallback;
-  }
+struct Options {
+  std::size_t population = 0;  // 0 = pinned set
+  DhtBackend backend = DhtBackend::kChord;
+  double max_seconds = -1.0;  // <0 = per-scenario defaults
+  bool quick = false;
+  bool help = false;
+};
+
+/// Registers every perf_suite flag on the shared OptionTable: one
+/// registration serves --flag parsing, the unknown-flag diagnostic and
+/// --help.
+void add_suite_options(OptionTable& table, Options& o) {
+  table.add_size("population",
+                 "run one custom scenario at this size instead of the "
+                 "pinned set",
+                 &o.population);
+  table.add_choice(
+      "backend", "backend for the custom scenario",
+      {{"chord", [&o] { o.backend = DhtBackend::kChord; }},
+       {"kademlia", [&o] { o.backend = DhtBackend::kKademlia; }}});
+  table.add_real("max-seconds",
+                 "wall-clock budget per scenario (0 disables the gate)",
+                 &o.max_seconds);
+  table.add_flag("quick", "pinned set without the 10k scenarios", &o.quick);
+  table.add_flag("help", "print this help and exit", &o.help);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t population = 0;  // 0 = pinned set
-  DhtBackend backend = DhtBackend::kChord;
-  double max_seconds = -1.0;  // <0 = per-scenario defaults
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--population=", 0) == 0) {
-      population =
-          emergence::bench::parse_count(arg.substr(13), 0, "--population");
-    } else if (arg == "--backend=kademlia") {
-      backend = DhtBackend::kKademlia;
-    } else if (arg == "--backend=chord") {
-      backend = DhtBackend::kChord;
-    } else if (arg.rfind("--max-seconds=", 0) == 0) {
-      max_seconds = parse_seconds(arg.substr(14), max_seconds);
-    } else if (arg == "--quick") {
-      quick = true;
+  Options o;
+  OptionTable cli;
+  add_suite_options(cli, o);
+  try {
+    const std::vector<std::string> positional = cli.parse_cli(argc, argv);
+    if (!positional.empty()) {
+      throw PreconditionError("unexpected argument '" + positional[0] +
+                              "' (known: " + cli.known_keys() + ")");
     }
+  } catch (const Error& e) {
+    std::cerr << "perf_suite: " << e.what() << "\n";
+    return 2;
+  }
+  if (o.help) {
+    std::cout << "perf_suite: simulation-core scaling phases per scenario\n"
+              << cli.help();
+    return 0;
   }
 
   std::vector<PerfScenario> scenarios;
-  if (population > 0) {
+  if (o.population > 0) {
     PerfScenario s;
-    s.backend = backend;
-    s.population = population;
-    s.name = core::to_string(backend) + "_" + std::to_string(population);
+    s.backend = o.backend;
+    s.population = o.population;
+    s.name = core::to_string(o.backend) + "_" + std::to_string(o.population);
     s.budget_seconds = 0.0;  // custom runs gate on sanity only by default
     scenarios.push_back(std::move(s));
   } else {
-    scenarios = pinned_scenarios(quick);
+    scenarios = pinned_scenarios(o.quick);
   }
-  if (max_seconds >= 0.0) {
-    for (PerfScenario& s : scenarios) s.budget_seconds = max_seconds;
+  if (o.max_seconds >= 0.0) {
+    for (PerfScenario& s : scenarios) s.budget_seconds = o.max_seconds;
   }
 
   std::cout << "# == perf_suite: simulation-core scaling ==\n"
@@ -244,7 +265,7 @@ int main(int argc, char** argv) {
 
   emergence::bench::BenchReport json(
       "perf", scenarios.size(), 1,
-      population > 0 ? scenarios[0].name : "pinned-perf-set",
+      o.population > 0 ? scenarios[0].name : "pinned-perf-set",
       0x9e3779b97f4a7c15ULL);
   core::FigureTable table(
       "perf_suite",

@@ -49,27 +49,42 @@ NodeId ChordNetwork::fresh_node_id() {
   for (;;) {
     const std::string name = "node-" + std::to_string(node_counter_++);
     const NodeId id = NodeId::hash_of_text(name);
-    if (nodes_.find(id) == nodes_.end()) return id;
+    if (handles_.find(id) == handles_.end()) return id;
   }
 }
 
-ChordNode& ChordNetwork::allocate_node(const NodeId& id) {
+NodeHandle ChordNetwork::allocate_node(const NodeId& id) {
   // A rejoin of a dead id (transient churn outage) reuses its arena slot:
   // reset_for_rejoin restores the freshly-constructed state, so long
-  // churned worlds do not accrete one dead instance per rejoin.
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) {
-    it->second->reset_for_rejoin();
-    return *it->second;
+  // churned worlds do not accrete one dead instance per rejoin, and the id
+  // keeps its handle — stale fingers and successor entries that name it
+  // reach the rejoined node.
+  const auto [it, fresh] =
+      handles_.try_emplace(id, static_cast<NodeHandle>(slots_.ids.size()));
+  const NodeHandle h = it->second;
+  if (!fresh) {
+    slots_.nodes[h]->reset_for_rejoin();
+  } else {
+    require(h != kNoNode, "ChordNetwork: node handle space exhausted");
+    arena_.emplace_back(*this, slots_, h, config_.successor_list_size);
+    slots_.ids.push_back(id);
+    slots_.live.push_back(0);
+    slots_.nodes.push_back(&arena_.back());
+    alive_pos_.push_back(kNoNode);
   }
-  arena_.emplace_back(*this, id, config_.successor_list_size);
-  ChordNode& fresh = arena_.back();
-  nodes_[id] = &fresh;
-  return fresh;
+  slots_.live[h] = 1;  // alive from its first join step on
+  return h;
 }
 
-void ChordNetwork::register_alive(const NodeId& id) {
-  alive_index_[id] = alive_ids_.size();
+NodeHandle ChordNetwork::handle_of(const NodeId& id) const {
+  auto it = handles_.find(id);
+  return it == handles_.end() ? kNoNode : it->second;
+}
+
+void ChordNetwork::register_alive(NodeHandle h) {
+  const NodeId& id = slots_.ids[h];
+  alive_pos_[h] = static_cast<std::uint32_t>(alive_handles_.size());
+  alive_handles_.push_back(h);
   alive_ids_.push_back(id);
   live_ring_.insert(id);
   // Every node's zone is primed from serial code (bootstrap / churn joins),
@@ -77,46 +92,54 @@ void ChordNetwork::register_alive(const NodeId& id) {
   transport_.prime_zone(id);
 }
 
-void ChordNetwork::unregister_alive(const NodeId& id) {
-  auto it = alive_index_.find(id);
-  if (it == alive_index_.end()) return;
-  live_ring_.erase(id);  // before the swap-pop: `id` may alias alive_ids_
-  const std::size_t pos = it->second;
-  const NodeId last = alive_ids_.back();
-  alive_ids_[pos] = last;
-  alive_index_[last] = pos;
+void ChordNetwork::unregister_alive(NodeHandle h) {
+  slots_.live[h] = 0;
+  const std::uint32_t pos = alive_pos_[h];
+  if (pos == kNoNode) return;
+  live_ring_.erase(slots_.ids[h]);
+  const NodeHandle last = alive_handles_.back();
+  alive_handles_[pos] = last;
+  alive_ids_[pos] = slots_.ids[last];
+  alive_pos_[last] = pos;
+  alive_handles_.pop_back();
   alive_ids_.pop_back();
-  alive_index_.erase(it);
+  alive_pos_[h] = kNoNode;
 }
 
 void ChordNetwork::bootstrap(std::size_t count) {
   require(count > 0, "ChordNetwork::bootstrap: need at least one node");
-  require(nodes_.empty(), "ChordNetwork::bootstrap: network already built");
+  require(slots_.ids.empty(), "ChordNetwork::bootstrap: network already built");
 
-  nodes_.reserve(count);
-  alive_index_.reserve(count);
+  handles_.reserve(count);
+  slots_.ids.reserve(count);
+  slots_.live.reserve(count);
+  slots_.nodes.reserve(count);
+  alive_pos_.reserve(count);
+  alive_handles_.reserve(count);
   alive_ids_.reserve(count);
 
-  std::vector<NodeId> ids;
-  ids.reserve(count);
+  // ring[i]: handle of the i-th node in id order.
+  std::vector<NodeHandle> ring;
+  ring.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId id = fresh_node_id();
-    ids.push_back(id);
-    allocate_node(id);
-    register_alive(id);
+    const NodeHandle h = allocate_node(fresh_node_id());
+    register_alive(h);
+    ring.push_back(h);
   }
-  std::sort(ids.begin(), ids.end());
+  const std::vector<NodeId>& ids = slots_.ids;
+  std::sort(ring.begin(), ring.end(),
+            [&ids](NodeHandle a, NodeHandle b) { return ids[a] < ids[b]; });
 
   // Wire exact ring pointers.
   for (std::size_t i = 0; i < count; ++i) {
-    ChordNode& n = *nodes_.at(ids[i]);
-    std::vector<NodeId> succ;
+    ChordNode& n = *slots_.nodes[ring[i]];
+    std::vector<NodeHandle> succ;
     succ.reserve(std::min(config_.successor_list_size, count - 1));
     for (std::size_t s = 1; s <= config_.successor_list_size && s < count; ++s)
-      succ.push_back(ids[(i + s) % count]);
-    if (succ.empty()) succ.push_back(ids[i]);
+      succ.push_back(ring[(i + s) % count]);
+    if (succ.empty()) succ.push_back(ring[i]);
     n.set_successor_list(std::move(succ));
-    n.set_predecessor(ids[(i + count - 1) % count]);
+    n.set_predecessor(ring[(i + count - 1) % count]);
   }
 
   // Exact fingers, built as runs. The finger for start = id + 2^p is the
@@ -129,8 +152,8 @@ void ChordNetwork::bootstrap(std::size_t count) {
   // discovered finger covers the whole power range up to
   // floor(log2(distance)) in a single run.
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId& x = ids[i];
-    FingerTable& table = nodes_.at(x)->finger_table();
+    const NodeId& x = ids[ring[i]];
+    FingerTable& table = slots_.nodes[ring[i]]->finger_table();
     table.clear();
     std::size_t p = 0;
     std::size_t t_lo = 1;  // ring offset of the first candidate
@@ -144,7 +167,7 @@ void ChordNetwork::bootstrap(std::size_t count) {
       std::size_t hi = count;
       while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
-        const NodeId& y = ids[(i + mid) % count];
+        const NodeId& y = ids[ring[(i + mid) % count]];
         if (!in_open_interval(y, x, start)) {
           hi = mid;
         } else {
@@ -152,155 +175,157 @@ void ChordNetwork::bootstrap(std::size_t count) {
         }
       }
       std::size_t hi_power = kIdBits - 1;
-      NodeId finger = x;
+      NodeHandle finger = ring[i];
       if (lo < count) {
-        finger = ids[(i + lo) % count];
-        hi_power = floor_log2_distance(x, finger);
+        finger = ring[(i + lo) % count];
+        hi_power = floor_log2_distance(x, ids[finger]);
       }
       table.append_run(p, hi_power, finger);
       p = hi_power + 1;
       t_lo = lo;
     }
+    table.shrink_to_fit();
   }
 
   if (config_.run_maintenance) {
-    for (const NodeId& id : ids) schedule_maintenance(id);
+    for (const NodeHandle h : ring) schedule_maintenance(h);
   }
 }
 
-void ChordNetwork::schedule_maintenance(const NodeId& id) {
+void ChordNetwork::schedule_maintenance(NodeHandle h) {
   // Jitter the initial phases so maintenance does not run in lockstep; each
   // timer then re-arms at its own fixed interval. (An earlier revision
   // re-armed repair from the stabilize callback, so repair fired at
   // stabilize_interval cadence with a fresh random phase every round —
   // ~4x the configured rate under the default intervals.)
-  schedule_stabilize_in(rng_.real() * config_.stabilize_interval, id);
-  schedule_repair_in(rng_.real() * config_.replica_repair_interval, id);
+  schedule_stabilize_in(rng_.real() * config_.stabilize_interval, h);
+  schedule_repair_in(rng_.real() * config_.replica_repair_interval, h);
 }
 
-void ChordNetwork::schedule_stabilize_in(double delay, const NodeId& id) {
+void ChordNetwork::schedule_stabilize_in(double delay, NodeHandle h) {
   // Capture the node's incarnation: a timer whose node died stops, and a
   // timer that outlived a kill-then-rejoin of the same id stops too (the
   // rejoin armed its own chain; without the check the node would run two).
-  const std::uint64_t incarnation = nodes_.at(id)->incarnation();
-  simulator_.schedule_in(delay, [this, id, incarnation]() {
-    ChordNode* n = live_node(id);
+  const std::uint64_t incarnation = slots_.nodes[h]->incarnation();
+  simulator_.schedule_in(delay, [this, h, incarnation]() {
+    ChordNode* n = slots_.live_node(h);
     if (n == nullptr || n->incarnation() != incarnation) return;
     n->stabilize();
     n->fix_fingers();
     n->check_predecessor();
     ++maintenance_stats_.stabilize_rounds;
-    schedule_stabilize_in(config_.stabilize_interval, id);
+    schedule_stabilize_in(config_.stabilize_interval, h);
   });
 }
 
-void ChordNetwork::schedule_repair_in(double delay, const NodeId& id) {
-  const std::uint64_t incarnation = nodes_.at(id)->incarnation();
-  simulator_.schedule_in(delay, [this, id, incarnation]() {
-    ChordNode* n = live_node(id);
+void ChordNetwork::schedule_repair_in(double delay, NodeHandle h) {
+  const std::uint64_t incarnation = slots_.nodes[h]->incarnation();
+  simulator_.schedule_in(delay, [this, h, incarnation]() {
+    ChordNode* n = slots_.live_node(h);
     if (n == nullptr || n->incarnation() != incarnation) return;
     n->replica_maintenance(config_.replication_factor);
     ++maintenance_stats_.repair_rounds;
-    schedule_repair_in(config_.replica_repair_interval, id);
+    schedule_repair_in(config_.replica_repair_interval, h);
   });
 }
 
 NodeId ChordNetwork::add_node() { return add_node_with_id(fresh_node_id()); }
 
 NodeId ChordNetwork::add_node_with_id(const NodeId& id) {
-  require(nodes_.find(id) == nodes_.end() || !nodes_.at(id)->alive(),
+  const NodeHandle existing = handle_of(id);
+  require(existing == kNoNode || slots_.live[existing] == 0,
           "ChordNetwork::add_node_with_id: id already in use");
-  ChordNode* raw = &allocate_node(id);
+  const NodeHandle h = allocate_node(id);
+  ChordNode& joiner = *slots_.nodes[h];
 
-  if (alive_ids_.empty()) {
-    raw->create();
+  if (alive_handles_.empty()) {
+    joiner.create();
   } else {
-    const NodeId bootstrap = alive_ids_[rng_.index(alive_ids_.size())];
-    raw->join(bootstrap);
+    joiner.join(alive_handles_[rng_.index(alive_handles_.size())]);
   }
-  register_alive(id);
+  register_alive(h);
   if (config_.exact_join_fingers) {
-    raw->fix_all_fingers();
+    joiner.fix_all_fingers();
   } else {
     // O(log n) join: adopt the successor's (ring-adjacent, hence mostly
     // correct) finger table; periodic fix_fingers converges it.
-    ChordNode* succ = live_node(raw->successor());
-    if (succ != nullptr && succ != raw) {
-      raw->finger_table() = succ->finger_table();
+    const ChordNode* succ = slots_.live_node(joiner.successor());
+    if (succ != nullptr && succ != &joiner) {
+      joiner.finger_table() = succ->finger_table();
     }
-    raw->set_finger(0, raw->successor());
+    joiner.set_finger(0, joiner.successor());
   }
-  if (config_.run_maintenance) schedule_maintenance(id);
-  return id;
+  if (config_.run_maintenance) schedule_maintenance(h);
+  return slots_.ids[h];
 }
 
 void ChordNetwork::kill_node(const NodeId& id) {
   ChordNode* n = live_node(id);
   if (n == nullptr) return;
-  // Callers may pass a reference into alive_ids_ itself (e.g.
-  // kill_node(alive_ids()[i])); unregister_alive's swap-pop overwrites that
-  // slot, so work from a stable copy of the id.
-  const NodeId victim = n->id();
   n->fail();
-  unregister_alive(victim);
-  handlers_.erase(victim);
+  unregister_alive(n->handle());
+  handlers_.erase(n->id());
 }
 
 void ChordNetwork::remove_node(const NodeId& id) {
   ChordNode* n = live_node(id);
   if (n == nullptr) return;
-  const NodeId victim = n->id();  // see kill_node on aliasing
   n->leave();
-  unregister_alive(victim);
-  handlers_.erase(victim);
+  unregister_alive(n->handle());
+  handlers_.erase(n->id());
 }
 
 ChordNode* ChordNetwork::node(const NodeId& id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
+  const NodeHandle h = handle_of(id);
+  return h == kNoNode ? nullptr : slots_.nodes[h];
 }
 
 const ChordNode* ChordNetwork::node(const NodeId& id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
+  const NodeHandle h = handle_of(id);
+  return h == kNoNode ? nullptr : slots_.nodes[h];
 }
 
 ChordNode* ChordNetwork::live_node(const NodeId& id) {
-  ChordNode* n = node(id);
-  return (n != nullptr && n->alive()) ? n : nullptr;
+  const NodeHandle h = handle_of(id);
+  return h == kNoNode ? nullptr : slots_.live_node(h);
 }
 
 ChordNode& ChordNetwork::random_live_node() {
-  require(!alive_ids_.empty(), "ChordNetwork: no live nodes");
+  require(!alive_handles_.empty(), "ChordNetwork: no live nodes");
   // In-window lookups draw the entry pick from the executing session's own
   // stream (domain-count invariant); barrier/serial code keeps the shared
   // network stream, preserving the legacy draw sequence bit-for-bit.
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  return *nodes_.at(alive_ids_[rng.index(alive_ids_.size())]);
+  return *slots_.nodes[alive_handles_[rng.index(alive_handles_.size())]];
 }
 
-LookupResult ChordNetwork::lookup(const NodeId& key) {
-  const LookupResult result = random_live_node().find_successor(key);
+Route ChordNetwork::route(const NodeId& key) {
+  const Route result = random_live_node().find_successor(key);
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   LookupStats& stats = (ctx != nullptr && ctx->lookup_stats != nullptr)
                            ? *ctx->lookup_stats
                            : lookup_stats_;
-  stats.record(result);
+  stats.record(result.hops, result.ok);
   return result;
+}
+
+LookupResult ChordNetwork::lookup(const NodeId& key) {
+  const Route r = route(key);
+  return LookupResult{slots_.ids[r.node], r.hops, r.ok};
 }
 
 bool ChordNetwork::put(const NodeId& key, SharedBytes value) {
   require(value != nullptr, "ChordNetwork::put: null value");
-  const LookupResult result = lookup(key);
+  const Route result = route(key);
   if (!result.ok) return false;
-  ChordNode* primary = live_node(result.node);
+  ChordNode* primary = slots_.live_node(result.node);
   if (primary == nullptr) return false;
   primary->store_local(key, value);
 
-  NodeId target = primary->successor();
+  NodeHandle target = primary->successor();
   for (std::size_t copy = 1; copy < config_.replication_factor; ++copy) {
-    ChordNode* t = live_node(target);
+    ChordNode* t = slots_.live_node(target);
     if (t == nullptr || t == primary) break;
     t->store_local(key, value);  // replicas share the buffer
     target = t->successor();
@@ -308,9 +333,8 @@ bool ChordNetwork::put(const NodeId& key, SharedBytes value) {
   return true;
 }
 
-SharedBytes ChordNetwork::get(const NodeId& key) {
-  const LookupResult result = lookup(key);
-  if (!result.ok) return nullptr;
+template <typename Visit>
+void ChordNetwork::walk_replica_set(NodeHandle start, Visit visit) {
   // Replicas live on the first replication_factor live successors of the
   // primary *at put/repair time*. When responsibility migrates afterwards
   // (the primary dies, or fresh nodes join between the key and the old
@@ -318,53 +342,50 @@ SharedBytes ChordNetwork::get(const NodeId& key) {
   // of the surviving copies, so a walk of exactly replication_factor nodes
   // misses reachable data. Walk up to successor_list_size extra live nodes
   // and stop when the ring wraps back to the start.
-  NodeId target = result.node;
+  NodeHandle target = start;
   const std::size_t max_visits =
       config_.replication_factor + config_.successor_list_size;
-  for (std::size_t visit = 0; visit < max_visits; ++visit) {
-    ChordNode* t = live_node(target);
-    if (t == nullptr) break;
-    SharedBytes value = t->storage().get(key);
-    if (value != nullptr) return value;
-    NodeId next = t->successor();
-    if (next == t->id()) {
+  for (std::size_t visit_count = 0; visit_count < max_visits; ++visit_count) {
+    ChordNode* t = slots_.live_node(target);
+    if (t == nullptr || visit(*t)) break;
+    NodeHandle next = t->successor();
+    if (next == target) {
       // Successor list exhausted (e.g. a fresh joiner whose only successor
       // died before it re-stabilized; routed lookups would just bounce off
       // the same broken pointer). Step to the true ring successor through
       // the sorted live index — O(log n), and exactly the node one
-      // stabilize round would restore as the successor.
+      // stabilize round would restore as the successor. The index answers
+      // with an id, so this rare step pays one handle lookup.
       const std::optional<NodeId> step = live_ring_.successor_of(t->id());
       if (!step.has_value()) break;  // genuinely alone
-      next = *step;
+      next = handles_.at(*step);
     }
-    if (next == result.node) break;  // wrapped around
+    if (next == start) break;  // wrapped around
     target = next;
   }
-  return nullptr;
+}
+
+SharedBytes ChordNetwork::get(const NodeId& key) {
+  const Route result = route(key);
+  if (!result.ok) return nullptr;
+  SharedBytes found;
+  walk_replica_set(result.node, [&](const ChordNode& t) {
+    found = t.storage().get(key);
+    return found != nullptr;
+  });
+  return found;
 }
 
 std::size_t ChordNetwork::erase(const NodeId& key) {
-  const LookupResult result = lookup(key);
+  const Route result = route(key);
   if (!result.ok) return 0;
   // Same walk as get(): the responsible node plus enough live successors to
   // cover replicas stranded behind interloper joins.
   std::size_t erased = 0;
-  NodeId target = result.node;
-  const std::size_t max_visits =
-      config_.replication_factor + config_.successor_list_size;
-  for (std::size_t visit = 0; visit < max_visits; ++visit) {
-    ChordNode* t = live_node(target);
-    if (t == nullptr) break;
-    if (t->storage().erase(key)) ++erased;
-    NodeId next = t->successor();
-    if (next == t->id()) {
-      const std::optional<NodeId> step = live_ring_.successor_of(t->id());
-      if (!step.has_value()) break;  // genuinely alone
-      next = *step;
-    }
-    if (next == result.node) break;  // wrapped around
-    target = next;
-  }
+  walk_replica_set(result.node, [&](ChordNode& t) {
+    if (t.storage().erase(key)) ++erased;
+    return false;
+  });
   return erased;
 }
 
@@ -430,31 +451,31 @@ void ChordNetwork::send_message_routed(const NodeId& from,
   transport_.send(
       simulator_, rng, stats, from, ring_point,
       [this, from, ring_point, payload = std::move(payload)]() {
-        const LookupResult result = lookup(ring_point);
+        const Route result = route(ring_point);
         if (!result.ok) return;
-        ChordNode* dest = live_node(result.node);
-        if (dest == nullptr) return;
-        auto it = handlers_.find(result.node);
+        if (slots_.live[result.node] == 0) return;
+        const NodeId to = slots_.ids[result.node];
+        auto it = handlers_.find(to);
         if (it != handlers_.end()) {
-          it->second(from, result.node, *payload);
+          it->second(from, to, *payload);
         } else if (default_handler_) {
-          default_handler_(from, result.node, *payload);
+          default_handler_(from, to, *payload);
         }
       },
       trace);
 }
 
 void ChordNetwork::run_maintenance_round() {
-  // Snapshot ids: maintenance can change the alive set.
-  const std::vector<NodeId> ids = alive_ids_;
-  for (const NodeId& id : ids) {
-    ChordNode* n = live_node(id);
+  // Snapshot the live set: maintenance can change it.
+  const std::vector<NodeHandle> live = alive_handles_;
+  for (const NodeHandle h : live) {
+    ChordNode* n = slots_.live_node(h);
     if (n == nullptr) continue;
     n->stabilize();
     n->check_predecessor();
   }
-  for (const NodeId& id : ids) {
-    ChordNode* n = live_node(id);
+  for (const NodeHandle h : live) {
+    ChordNode* n = slots_.live_node(h);
     if (n == nullptr) continue;
     n->fix_all_fingers();
     n->replica_maintenance(config_.replication_factor);

@@ -9,11 +9,18 @@
 // protocol timing (holding periods, release times) is meaningful.
 //
 // Scale notes (see docs/architecture.md, "Performance model"): nodes live
-// in a stable deque arena (one allocation batch, pointers never move), the
-// live set is indexed both by a swap-pop vector (O(1) sampling) and a
-// sorted LiveRingIndex (O(log n) ring-successor queries), bootstrap wires
-// exact fingers in O(n log^2 n) without per-power binary searches, and all
-// stored/sent payloads are shared buffers (see common/bytes.hpp).
+// in a stable deque arena (one allocation batch, pointers never move) and
+// are named by dense u32 handles (their arena slot, reused when an id
+// rejoins). Routing state — fingers, successor lists, predecessors, the
+// maintenance timers — holds handles only, and ids, liveness and node
+// pointers sit in handle-indexed arrays (NodeSlots), so a routing hop,
+// liveness check or maintenance round never hashes a NodeId; the
+// NodeId->handle map serves only the Network API edge. The live set is a
+// swap-pop handle vector with a handle-indexed position array (O(1)
+// sampling) plus a sorted LiveRingIndex (O(log n) ring-successor queries),
+// bootstrap wires exact fingers in O(n log^2 n) without per-power binary
+// searches, and all stored/sent payloads are shared buffers (see
+// common/bytes.hpp).
 #pragma once
 
 #include <deque>
@@ -82,14 +89,20 @@ class ChordNetwork final : public Network {
   void remove_node(const NodeId& id);
 
   std::size_t alive_count() const override { return alive_ids_.size(); }
-  std::size_t total_count() const { return nodes_.size(); }
+  std::size_t total_count() const { return slots_.ids.size(); }
   const std::vector<NodeId>& alive_ids() const override { return alive_ids_; }
   const LiveRingIndex& live_ring() const { return live_ring_; }
 
+  // NodeId-addressed access (the API edge: one hash per call).
   ChordNode* node(const NodeId& id);
   const ChordNode* node(const NodeId& id) const;
   /// Node if it exists and is alive, else nullptr (RPC liveness guard).
   ChordNode* live_node(const NodeId& id);
+  /// The id's handle, kNoNode when the id never joined.
+  NodeHandle handle_of(const NodeId& id) const;
+
+  /// The id a handle names (no hashing).
+  const NodeId& id_of(NodeHandle h) const { return slots_.ids[h]; }
 
   /// Uniformly random live node (entry point for lookups).
   ChordNode& random_live_node();
@@ -111,8 +124,8 @@ class ChordNetwork final : public Network {
   // -- node-addressed storage --------------------------------------------------
 
   bool is_alive(const NodeId& id) const override {
-    const ChordNode* n = node(id);
-    return n != nullptr && n->alive();
+    const NodeHandle h = handle_of(id);
+    return h != kNoNode && slots_.live[h] != 0;
   }
   bool store_on(const NodeId& id, const NodeId& key,
                 SharedBytes value) override;
@@ -181,13 +194,21 @@ class ChordNetwork final : public Network {
   void run_maintenance_round();
 
  private:
-  void schedule_maintenance(const NodeId& id);
-  void schedule_stabilize_in(double delay, const NodeId& id);
-  void schedule_repair_in(double delay, const NodeId& id);
+  /// Lookup from a random live entry point, recorded in the lookup stats.
+  Route route(const NodeId& key);
+  /// Calls `visit` on the live node at `start` and its live successors (up
+  /// to replication_factor + successor_list_size nodes, stopping at the
+  /// wrap back to `start`) until it returns true. get() and erase() share
+  /// this walk.
+  template <typename Visit>
+  void walk_replica_set(NodeHandle start, Visit visit);
+  void schedule_maintenance(NodeHandle h);
+  void schedule_stabilize_in(double delay, NodeHandle h);
+  void schedule_repair_in(double delay, NodeHandle h);
   NodeId fresh_node_id();
-  ChordNode& allocate_node(const NodeId& id);
-  void register_alive(const NodeId& id);
-  void unregister_alive(const NodeId& id);
+  NodeHandle allocate_node(const NodeId& id);
+  void register_alive(NodeHandle h);
+  void unregister_alive(NodeHandle h);
 
   sim::Simulator& simulator_;
   Rng& rng_;
@@ -198,11 +219,16 @@ class ChordNetwork final : public Network {
   obs::TraceShard* trace_shard_ = nullptr;
 
   /// Node arena: stable addresses, no per-node unique_ptr allocation, dead
-  /// nodes stay (peers probe their liveness, exactly as before).
+  /// nodes stay (peers probe their liveness, exactly as before). A node's
+  /// handle is its index here.
   std::deque<ChordNode> arena_;
-  std::unordered_map<NodeId, ChordNode*, NodeIdHash> nodes_;
+  NodeSlots slots_;
+  std::unordered_map<NodeId, NodeHandle, NodeIdHash> handles_;
+  /// The live set: alive_ids_[i] is the id of alive_handles_[i], and
+  /// alive_pos_[h] is h's index there (kNoNode when h is not in the set).
   std::vector<NodeId> alive_ids_;
-  std::unordered_map<NodeId, std::size_t, NodeIdHash> alive_index_;
+  std::vector<NodeHandle> alive_handles_;
+  std::vector<std::uint32_t> alive_pos_;
   LiveRingIndex live_ring_;
   std::unordered_map<NodeId, MessageHandler, NodeIdHash> handlers_;
   MessageHandler default_handler_;

@@ -7,10 +7,14 @@
 // a node and its successor. Maintenance (stabilize / fix-fingers /
 // check-predecessor / replica repair) runs as periodic simulator events
 // scheduled by ChordNetwork.
+//
+// Routing state names peers by dense NodeHandle (see finger_table.hpp), not
+// by NodeId: a hop reads the peer's id, liveness and node from the
+// network's handle-indexed NodeSlots arrays, so routing, liveness checks
+// and maintenance never hash an id.
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "dht/finger_table.hpp"
@@ -21,21 +25,45 @@
 namespace emergence::dht {
 
 class ChordNetwork;
+class ChordNode;
+
+/// Handle-indexed node directory, owned by ChordNetwork and read by every
+/// node. Slots are appended on first join and never removed.
+struct NodeSlots {
+  std::vector<NodeId> ids;
+  std::vector<std::uint8_t> live;  ///< 1 from (re)join until kill/leave
+  std::vector<ChordNode*> nodes;   ///< into ChordNetwork's stable arena
+
+  /// The node when it is alive, else nullptr (the RPC liveness guard).
+  ChordNode* live_node(NodeHandle h) const {
+    return live[h] != 0 ? nodes[h] : nullptr;
+  }
+};
+
+/// Outcome of a lookup in handle form (LookupResult names an id instead).
+struct Route {
+  NodeHandle node = kNoNode;  ///< node responsible for the key
+  int hops = 0;               ///< routing hops taken
+  bool ok = true;             ///< false when routing failed
+};
 
 /// A single DHT participant.
 class ChordNode {
  public:
-  ChordNode(ChordNetwork& network, NodeId id, std::size_t successor_list_size);
+  ChordNode(ChordNetwork& network, const NodeSlots& slots, NodeHandle handle,
+            std::size_t successor_list_size);
 
-  const NodeId& id() const { return id_; }
-  bool alive() const { return alive_; }
+  NodeHandle handle() const { return handle_; }
+  const NodeId& id() const { return slots_.ids[handle_]; }
+  bool alive() const { return slots_.live[handle_] != 0; }
 
   // -- ring pointers ---------------------------------------------------------
 
   /// First live successor (self when the node is alone).
-  NodeId successor() const;
-  const std::vector<NodeId>& successor_list() const { return successors_; }
-  std::optional<NodeId> predecessor() const { return predecessor_; }
+  NodeHandle successor() const;
+  const std::vector<NodeHandle>& successor_list() const { return successors_; }
+  /// kNoNode when unset.
+  NodeHandle predecessor() const { return predecessor_; }
 
   /// True when this node is responsible for `key`
   /// (key in (predecessor, self]).
@@ -47,12 +75,14 @@ class ChordNode {
   void create();
 
   /// Joins via any live node; acquires successor and pulls keys it now owns.
-  void join(const NodeId& bootstrap);
+  void join(NodeHandle bootstrap);
 
-  /// Graceful leave: hands keys to the successor and detaches.
+  /// Graceful leave: hands keys to the successor. The network marks the
+  /// node dead afterwards.
   void leave();
 
-  /// Abrupt death (churn): state is lost, peers discover via timeouts.
+  /// Abrupt death (churn): state is lost, peers discover via timeouts. The
+  /// network marks the node dead afterwards.
   void fail();
 
   /// Restores freshly-constructed state so a dead instance can serve a
@@ -69,7 +99,7 @@ class ChordNode {
   void stabilize();
 
   /// Remote call: `candidate` believes it may be our predecessor.
-  void notify(const NodeId& candidate);
+  void notify(NodeHandle candidate);
 
   /// Periodic: refreshes one finger per call, round-robin.
   void fix_fingers();
@@ -85,10 +115,11 @@ class ChordNode {
   void replica_maintenance(std::size_t replication_factor);
 
   /// Iterative lookup starting at this node.
-  LookupResult find_successor(const NodeId& key) const;
+  Route find_successor(const NodeId& key) const;
 
-  /// Closest finger/successor strictly between this node and `key`.
-  NodeId closest_preceding_node(const NodeId& key) const;
+  /// Closest live finger/successor strictly between this node and `key`
+  /// (self when none).
+  NodeHandle closest_preceding_node(const NodeId& key) const;
 
   // -- storage ---------------------------------------------------------------
 
@@ -104,23 +135,22 @@ class ChordNode {
 
   // -- internals exposed for ChordNetwork / tests ----------------------------
 
-  void set_successor_list(std::vector<NodeId> successors);
-  void set_predecessor(std::optional<NodeId> pred) { predecessor_ = pred; }
-  void set_finger(std::size_t i, const NodeId& id) { fingers_.set(i, id); }
-  std::optional<NodeId> finger(std::size_t i) const { return fingers_.get(i); }
+  void set_successor_list(std::vector<NodeHandle> successors);
+  void set_predecessor(NodeHandle pred) { predecessor_ = pred; }
+  void set_finger(std::size_t i, NodeHandle node) { fingers_.set(i, node); }
+  /// kNoNode when unset.
+  NodeHandle finger(std::size_t i) const { return fingers_.get(i); }
   FingerTable& finger_table() { return fingers_; }
   const FingerTable& finger_table() const { return fingers_; }
-  void mark_alive(bool alive) { alive_ = alive; }
 
  private:
   void prune_dead_successors();
 
   ChordNetwork& network_;
-  NodeId id_;
-  bool alive_ = true;
-
-  std::optional<NodeId> predecessor_;
-  std::vector<NodeId> successors_;  // ordered, nearest first
+  const NodeSlots& slots_;
+  NodeHandle handle_;
+  NodeHandle predecessor_ = kNoNode;
+  std::vector<NodeHandle> successors_;  // ordered, nearest first
   std::size_t successor_list_size_;
   FingerTable fingers_;  // run-compressed: ~log2(n) entries, not kIdBits
   std::size_t next_finger_ = 0;

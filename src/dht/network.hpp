@@ -40,11 +40,12 @@ struct LookupStats {
                               static_cast<double>(lookups);
   }
 
-  void record(const LookupResult& result) {
+  void record(int hops, bool ok) {
     ++lookups;
-    total_hops += static_cast<std::uint64_t>(result.hops);
-    if (!result.ok) ++failures;
+    total_hops += static_cast<std::uint64_t>(hops);
+    if (!ok) ++failures;
   }
+  void record(const LookupResult& result) { record(result.hops, result.ok); }
 
   /// Exact merge (integer sums): associative and commutative, so the
   /// executor's per-domain shards fold back in any order bit-identically.

@@ -144,7 +144,7 @@ std::vector<NodeId> walk_ring(ChordNetwork& net) {
   NodeId cur = ids.front();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     walked.push_back(cur);
-    cur = net.node(cur)->successor();
+    cur = net.id_of(net.node(cur)->successor());
   }
   return walked;
 }
@@ -156,15 +156,17 @@ TEST(ChordBootstrap, RingIsSortedAndClosed) {
   const std::vector<NodeId> walked = walk_ring(*t.net);
   EXPECT_EQ(walked, ids);
   // Walking n successors returns to the start.
-  EXPECT_EQ(t.net->node(walked.back())->successor(), ids.front());
+  EXPECT_EQ(t.net->id_of(t.net->node(walked.back())->successor()),
+            ids.front());
 }
 
 TEST(ChordBootstrap, PredecessorsMatchSuccessors) {
   TestNet t(16);
   for (const NodeId& id : t.net->alive_ids()) {
-    const NodeId succ = t.net->node(id)->successor();
-    ASSERT_TRUE(t.net->node(succ)->predecessor().has_value());
-    EXPECT_EQ(*t.net->node(succ)->predecessor(), id);
+    const ChordNode& succ =
+        *t.net->node(t.net->id_of(t.net->node(id)->successor()));
+    ASSERT_NE(succ.predecessor(), kNoNode);
+    EXPECT_EQ(t.net->id_of(succ.predecessor()), id);
   }
 }
 
@@ -177,8 +179,8 @@ TEST(ChordBootstrap, FingersPointToFirstNodeAtOrAfterStart) {
     const NodeId start = n->id().add_power_of_two(p);
     auto it = std::lower_bound(ids.begin(), ids.end(), start);
     const NodeId expected = it == ids.end() ? ids.front() : *it;
-    ASSERT_TRUE(n->finger(p).has_value());
-    EXPECT_EQ(*n->finger(p), expected);
+    ASSERT_NE(n->finger(p), kNoNode);
+    EXPECT_EQ(t.net->id_of(n->finger(p)), expected);
   }
 }
 
@@ -333,7 +335,7 @@ TEST(ChordStorage, GetFindsReplicasAfterResponsibilityMigrates) {
 
   const LookupResult primary = t.net->lookup(key);
   ASSERT_TRUE(primary.ok);
-  const NodeId s1 = t.net->node(primary.node)->successor();
+  const NodeId s1 = t.net->id_of(t.net->node(primary.node)->successor());
   t.net->kill_node(primary.node);
 
   // Squeeze three empty nodes into (primary, s1), each strictly after the
@@ -395,8 +397,9 @@ TEST(ChordStorage, GetRoutesPastAnExhaustedSuccessorList) {
   const LookupResult primary = t.net->lookup(key);
   ASSERT_TRUE(primary.ok);
   ChordNode* p = t.net->node(primary.node);
-  const NodeId s1 = p->successor();
-  const NodeId x = *p->predecessor();
+  const NodeId s1 = t.net->id_of(p->successor());
+  ASSERT_NE(p->predecessor(), kNoNode);
+  const NodeId x = t.net->id_of(p->predecessor());
   t.net->kill_node(primary.node);
 
   // J joins in (primary, s1): its successor list is exactly [s1].
@@ -420,11 +423,91 @@ TEST(ChordStorage, GetRoutesPastAnExhaustedSuccessorList) {
   ASSERT_TRUE(migrated.ok);
   ASSERT_EQ(migrated.node, j);
   EXPECT_FALSE(t.net->node(j)->storage().contains(key));
-  EXPECT_EQ(t.net->node(j)->successor(), j);  // list exhausted
+  EXPECT_EQ(t.net->id_of(t.net->node(j)->successor()), j);  // list exhausted
 
   const auto value = t.net->get(key);
   ASSERT_TRUE(value != nullptr);
   EXPECT_EQ(*value, bytes_of("still-here"));
+}
+
+// -- dense node handles: dead entries skipped, rejoin keeps the handle --------
+
+TEST(ChordHandles, DeadEntriesAreSkippedAndRejoinKeepsTheHandle) {
+  TestNet t(32);
+  std::vector<NodeId> ids = t.net->alive_ids();
+  std::sort(ids.begin(), ids.end());
+  const NodeId pred = ids[9];
+  const NodeId victim = ids[10];
+  const NodeId after = ids[11];
+  const NodeHandle h = t.net->handle_of(victim);
+  ASSERT_NE(h, kNoNode);
+  EXPECT_EQ(t.net->id_of(h), victim);
+  const ChordNode* const slot = t.net->node(victim);
+
+  // A node that reaches the victim through a finger only (not through its
+  // successor list). Its farthest finger preceding victim+1 is the victim.
+  const ChordNode* fingered = nullptr;
+  for (const NodeId& id : ids) {
+    const ChordNode* n = t.net->node(id);
+    const auto& list = n->successor_list();
+    if (id == victim || std::find(list.begin(), list.end(), h) != list.end())
+      continue;
+    for (const FingerTable::Run& run : n->finger_table().runs()) {
+      if (run.node == h) fingered = n;
+    }
+    if (fingered != nullptr) break;
+  }
+  ASSERT_NE(fingered, nullptr);
+  const NodeId past_victim = victim.successor_value();
+  const ChordNode& p = *t.net->node(pred);
+  ASSERT_EQ(p.successor(), h);
+  ASSERT_EQ(fingered->closest_preceding_node(past_victim), h);
+
+  // Killed, no maintenance: the stale entries stay, every hop skips them.
+  t.net->kill_node(victim);
+  ASSERT_EQ(p.successor_list().front(), h);
+  EXPECT_EQ(t.net->id_of(p.successor()), after);
+  const NodeHandle detour = fingered->closest_preceding_node(past_victim);
+  EXPECT_NE(detour, h);
+  EXPECT_TRUE(t.net->is_alive(t.net->id_of(detour)));
+  const Route orphaned = fingered->find_successor(victim);
+  ASSERT_TRUE(orphaned.ok);
+  EXPECT_EQ(t.net->id_of(orphaned.node), after);
+  EXPECT_EQ(t.net->lookup(victim).node, after);
+
+  // Rejoined: same id, same arena slot, same handle, so the entries nobody
+  // refreshed name the rejoined node and route to it again.
+  const std::size_t slots = t.net->total_count();
+  t.net->add_node_with_id(victim);
+  EXPECT_EQ(t.net->handle_of(victim), h);
+  EXPECT_EQ(t.net->node(victim), slot);
+  EXPECT_EQ(t.net->total_count(), slots);
+  ASSERT_EQ(p.successor_list().front(), h);
+  EXPECT_EQ(p.successor(), h);
+  EXPECT_EQ(fingered->closest_preceding_node(past_victim), h);
+  const Route via_finger = fingered->find_successor(victim);
+  ASSERT_TRUE(via_finger.ok);
+  EXPECT_EQ(via_finger.node, h);
+}
+
+TEST(ChordHandles, DeadPredecessorIsReplacedAndCleared) {
+  // notify() and check_predecessor() read predecessor liveness by handle.
+  TestNet t(16);
+  std::vector<NodeId> ids = t.net->alive_ids();
+  std::sort(ids.begin(), ids.end());
+  ChordNode& n = *t.net->node(ids[5]);
+  const NodeHandle old_pred = t.net->handle_of(ids[4]);
+  ASSERT_EQ(n.predecessor(), old_pred);
+  t.net->kill_node(ids[4]);
+  EXPECT_EQ(n.predecessor(), old_pred);  // nothing noticed yet
+  // A candidate outside (old_pred, n) still wins: the predecessor is dead.
+  const NodeHandle far = t.net->handle_of(ids[1]);
+  n.notify(far);
+  EXPECT_EQ(n.predecessor(), far);
+  t.net->kill_node(ids[1]);
+  n.check_predecessor();
+  EXPECT_EQ(n.predecessor(), kNoNode);
+  EXPECT_TRUE(n.responsible_for(NodeId::hash_of_text("anything")));
 }
 
 TEST(ChordStorage, StoreObserverFires) {

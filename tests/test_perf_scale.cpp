@@ -95,17 +95,16 @@ TEST(LiveRingIndex, MatchesBruteForceOraclesUnderChurn) {
 TEST(FingerTable, MatchesDenseReferenceUnderRandomSets) {
   Rng rng(7);
   FingerTable table;
-  std::vector<std::optional<NodeId>> dense(kIdBits);
-  // Small id pool: forces long shared runs, splits and re-merges.
-  std::vector<NodeId> pool;
-  for (int i = 0; i < 5; ++i)
-    pool.push_back(NodeId::hash_of_text("finger-" + std::to_string(i)));
+  std::vector<NodeHandle> dense(kIdBits, kNoNode);
+  // Small handle pool: forces long shared runs, splits and re-merges. The
+  // handles are scattered (not 0..4) so a truncated handle would show.
+  const std::vector<NodeHandle> pool = {7, 0x10000, 3, 0xfffffffeu, 0x12345};
 
   for (int op = 0; op < 5000; ++op) {
     const std::size_t power = rng.index(kIdBits);
-    const NodeId& id = pool[rng.index(pool.size())];
-    table.set(power, id);
-    dense[power] = id;
+    const NodeHandle node = pool[rng.index(pool.size())];
+    table.set(power, node);
+    dense[power] = node;
     if (op % 97 == 0) {
       for (std::size_t p = 0; p < kIdBits; ++p) {
         ASSERT_EQ(table.get(p), dense[p]) << "power " << p << " op " << op;
@@ -115,7 +114,7 @@ TEST(FingerTable, MatchesDenseReferenceUnderRandomSets) {
       for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
         ASSERT_LT(static_cast<int>(runs[i].hi), static_cast<int>(runs[i + 1].lo));
         if (runs[i].hi + 1 == runs[i + 1].lo) {
-          ASSERT_NE(runs[i].id, runs[i + 1].id);
+          ASSERT_NE(runs[i].node, runs[i + 1].node);
         }
       }
     }
@@ -156,7 +155,8 @@ TEST(ChordBootstrap, FingerRunsMatchNaivePerPowerConstruction) {
         const NodeId start = id.add_power_of_two(p);
         auto it = std::lower_bound(ids.begin(), ids.end(), start);
         const NodeId expected = it == ids.end() ? ids.front() : *it;
-        ASSERT_EQ(n->finger(p), std::optional<NodeId>(expected))
+        ASSERT_NE(n->finger(p), kNoNode);
+        ASSERT_EQ(net.id_of(n->finger(p)), expected)
             << "n=" << count << " node " << id.short_hex() << " power " << p;
       }
     }
@@ -249,6 +249,59 @@ TEST(ChordMaintenance, FastRejoinDoesNotDuplicateMaintenanceChains) {
   EXPECT_LE(stats.stabilize_rounds, population * 22);
   EXPECT_GE(stats.repair_rounds, population * 5);
   EXPECT_LE(stats.repair_rounds, population * 6);
+}
+
+TEST(ChordHandles, EachIdKeepsOneHandleUnderChurnWithRejoins) {
+  // A handle is the id's arena slot: it is assigned on the first join and
+  // survives every kill/leave and rejoin of the same id, and the slot count
+  // grows only with distinct ids.
+  sim::Simulator sim;
+  Rng rng(41);
+  NetworkConfig config;
+  config.run_maintenance = false;
+  config.exact_join_fingers = false;
+  ChordNetwork net(sim, rng, config);
+  net.bootstrap(64);
+
+  std::map<NodeId, NodeHandle> seen;
+  for (const NodeId& id : net.alive_ids()) seen[id] = net.handle_of(id);
+  std::vector<NodeId> dead;
+  Rng churn(17);
+  for (int round = 0; round < 600; ++round) {
+    const double u = churn.real();
+    if (u < 0.35 && net.alive_count() > 8) {
+      const NodeId victim = net.alive_ids()[churn.index(net.alive_count())];
+      if (churn.chance(0.5)) {
+        net.kill_node(victim);
+      } else {
+        net.remove_node(victim);
+      }
+      dead.push_back(victim);
+    } else if (u < 0.8 && !dead.empty()) {
+      const std::size_t pick = churn.index(dead.size());
+      const NodeId back = dead[pick];
+      dead.erase(dead.begin() + static_cast<std::ptrdiff_t>(pick));
+      net.add_node_with_id(back);
+    } else {
+      const NodeId fresh = net.add_node();
+      ASSERT_EQ(seen.count(fresh), 0u);
+      seen[fresh] = net.handle_of(fresh);
+    }
+    if (round % 50 == 0) net.run_maintenance_round();
+  }
+  EXPECT_EQ(net.total_count(), seen.size());
+  for (const auto& [id, handle] : seen) {
+    ASSERT_EQ(net.handle_of(id), handle);
+    ASSERT_EQ(net.id_of(handle), id);
+  }
+  // The live set and its position index agree with per-id liveness.
+  std::size_t live = 0;
+  for (const auto& [id, handle] : seen) {
+    live += net.is_alive(id) ? 1 : 0;
+  }
+  EXPECT_EQ(live, net.alive_count());
+  for (const NodeId& id : net.alive_ids()) ASSERT_TRUE(net.is_alive(id));
+  EXPECT_EQ(net.live_ring().size(), net.alive_count());
 }
 
 // -- zero-copy payload plumbing ------------------------------------------------
