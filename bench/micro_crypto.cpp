@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/aead.hpp"
-#include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
@@ -45,19 +44,6 @@ void BM_ChaCha20(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ChaCha20)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_Aes256Ctr(benchmark::State& state) {
-  const Aes aes(Bytes(32, 0x22));
-  std::array<std::uint8_t, 12> nonce{};
-  Bytes data(static_cast<std::size_t>(state.range(0)), 0xcd);
-  for (auto _ : state) {
-    aes_ctr_xor(aes, nonce, 0, data);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Aes256Ctr)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_AeadSealOpen(benchmark::State& state) {
   const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x33));

@@ -37,9 +37,9 @@
 #include "dht/chord_network.hpp"
 #include "dht/churn_driver.hpp"
 #include "dht/kademlia.hpp"
-#include "emerge/e2e_runner.hpp"
 #include "emerge/experiment/table.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/types.hpp"
 #include "sim/simulator.hpp"
 
 namespace {

@@ -42,8 +42,7 @@ ExamRun run_exam(core::PathShape shape, double malicious_fraction,
 
   // The student coalition: a random subset of the DHT is malicious.
   core::Adversary adversary(core::Adversary::Config{
-      core::AttackMode::kCovert, shape.k, /*share_threshold_m=*/1,
-      crypto::CipherBackend::kChaCha20});
+      core::AttackMode::kCovert, shape.k, /*share_threshold_m=*/1});
   Rng coalition_rng(seed ^ 0x5eed);
   for (const dht::NodeId& id : network.alive_ids()) {
     if (coalition_rng.chance(malicious_fraction))

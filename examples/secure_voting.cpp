@@ -38,8 +38,7 @@ bool run_election(core::SchemeKind kind, double malicious_fraction,
   config.emerging_time = 12.0 * 3600.0;  // polls close after 12 hours
 
   core::Adversary adversary(core::Adversary::Config{
-      core::AttackMode::kDropping, config.shape.k, 1,
-      crypto::CipherBackend::kChaCha20});
+      core::AttackMode::kDropping, config.shape.k, 1});
   Rng coalition_rng(seed * 31 + 7);
   for (const dht::NodeId& id : network.alive_ids()) {
     if (coalition_rng.chance(malicious_fraction)) adversary.mark_malicious(id);

@@ -32,17 +32,6 @@ core::SchemeKind scheme_from_u8(std::uint8_t raw) {
   }
 }
 
-crypto::CipherBackend backend_from_u8(std::uint8_t raw) {
-  switch (raw) {
-    case static_cast<std::uint8_t>(crypto::CipherBackend::kChaCha20):
-      return crypto::CipherBackend::kChaCha20;
-    case static_cast<std::uint8_t>(crypto::CipherBackend::kAes256Ctr):
-      return crypto::CipherBackend::kAes256Ctr;
-    default:
-      throw PreconditionError("decode_submit_request: unknown cipher backend");
-  }
-}
-
 }  // namespace
 
 core::SessionConfig SubmitRequest::to_config() const {
@@ -53,7 +42,6 @@ core::SessionConfig SubmitRequest::to_config() const {
   config.threshold_m = threshold_m;
   config.emerging_time = emerging_time;
   config.assembly_delay = assembly_delay;
-  config.backend = backend;
   return config;
 }
 
@@ -68,7 +56,7 @@ Bytes encode_submit_request(const SubmitRequest& req) {
   w.u16(static_cast<std::uint16_t>(req.threshold_m));
   write_f64(w, req.emerging_time);
   write_f64(w, req.assembly_delay);
-  w.u8(static_cast<std::uint8_t>(req.backend));
+  w.u8(crypto::kChaCha20CipherId);
   w.u64(req.seed);
   return w.take();
 }
@@ -85,7 +73,8 @@ SubmitRequest decode_submit_request(BytesView payload) {
   req.threshold_m = r.u16();
   req.emerging_time = read_f64(r);
   req.assembly_delay = read_f64(r);
-  req.backend = backend_from_u8(r.u8());
+  require(r.u8() == crypto::kChaCha20CipherId,
+          "decode_submit_request: unknown cipher backend");
   req.seed = r.u64();
   r.expect_done();
   return req;
@@ -169,12 +158,6 @@ SessionHandle::Builder& SessionHandle::Builder::emerging_time(double seconds) {
 
 SessionHandle::Builder& SessionHandle::Builder::assembly_delay(double seconds) {
   args_.config.assembly_delay = seconds;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::backend(
-    crypto::CipherBackend backend) {
-  args_.config.backend = backend;
   return *this;
 }
 

@@ -4,7 +4,7 @@
 //
 //   SubmitRequest  — "release this message to that receiver after T",
 //                    plus the protocol shape (scheme, k x l, share
-//                    parameters, cipher backend) and the sender's seed.
+//                    parameters) and the sender's seed.
 //   EmergeEvent    — "the secret emerged": session nonce, scheduled tr,
 //                    actual delivery time, and the released secret.
 //
@@ -46,7 +46,6 @@ struct SubmitRequest {
   std::size_t threshold_m = 0;  ///< share scheme: Shamir threshold (0 = k)
   double emerging_time = 120.0;  ///< T in seconds (virtual or wall-clock)
   double assembly_delay = 1.0;
-  crypto::CipherBackend backend = crypto::CipherBackend::kChaCha20;
   std::uint64_t seed = 1;  ///< sender-side DRBG seed
 
   /// The SessionConfig this request resolves to.
@@ -112,7 +111,6 @@ class SessionHandle {
     Builder& threshold(std::size_t m);
     Builder& emerging_time(double seconds);
     Builder& assembly_delay(double seconds);
-    Builder& backend(crypto::CipherBackend backend);
     Builder& seed(std::uint64_t seed);
 
     /// Constructs the session; throws PreconditionError if network/cloud

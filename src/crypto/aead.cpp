@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "common/serial.hpp"
-#include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
@@ -18,9 +17,9 @@ struct DerivedKeys {
   Bytes mac;
 };
 
-DerivedKeys derive_keys(const SymmetricKey& key, CipherBackend backend) {
+DerivedKeys derive_keys(const SymmetricKey& key) {
   Bytes info = bytes_of("emergence/aead/v1");
-  info.push_back(static_cast<std::uint8_t>(backend));
+  info.push_back(kChaCha20CipherId);
   const Bytes okm = hkdf(/*salt=*/{}, BytesView(key.bytes.data(), 32), info,
                          /*length=*/64);
   DerivedKeys out;
@@ -40,19 +39,10 @@ Bytes compute_tag(BytesView mac_key, BytesView nonce, BytesView aad,
 }
 
 void apply_stream(const std::array<std::uint8_t, 32>& enc_key, BytesView nonce,
-                  std::span<std::uint8_t> data, CipherBackend backend) {
+                  std::span<std::uint8_t> data) {
   std::array<std::uint8_t, kNonceSize> n{};
   std::copy(nonce.begin(), nonce.end(), n.begin());
-  switch (backend) {
-    case CipherBackend::kChaCha20:
-      chacha20_xor(enc_key, n, /*initial_counter=*/1, data);
-      break;
-    case CipherBackend::kAes256Ctr: {
-      const Aes aes(BytesView(enc_key.data(), enc_key.size()));
-      aes_ctr_xor(aes, n, /*initial_counter=*/1, data);
-      break;
-    }
-  }
+  chacha20_xor(enc_key, n, /*initial_counter=*/1, data);
 }
 
 }  // namespace
@@ -65,12 +55,12 @@ SymmetricKey SymmetricKey::from_bytes(BytesView raw) {
 }
 
 Bytes aead_seal(const SymmetricKey& key, BytesView nonce12, BytesView plaintext,
-                BytesView aad, CipherBackend backend) {
+                BytesView aad) {
   require(nonce12.size() == kNonceSize, "aead_seal: nonce must be 12 bytes");
-  const DerivedKeys keys = derive_keys(key, backend);
+  const DerivedKeys keys = derive_keys(key);
 
   Bytes body(plaintext.begin(), plaintext.end());
-  apply_stream(keys.enc, nonce12, body, backend);
+  apply_stream(keys.enc, nonce12, body);
 
   const Bytes tag = compute_tag(keys.mac, nonce12, aad, body);
 
@@ -82,11 +72,10 @@ Bytes aead_seal(const SymmetricKey& key, BytesView nonce12, BytesView plaintext,
   return out;
 }
 
-Bytes aead_open(const SymmetricKey& key, BytesView sealed, BytesView aad,
-                CipherBackend backend) {
+Bytes aead_open(const SymmetricKey& key, BytesView sealed, BytesView aad) {
   if (sealed.size() < kNonceSize + kTagSize)
     throw CryptoError("aead_open: ciphertext too short");
-  const DerivedKeys keys = derive_keys(key, backend);
+  const DerivedKeys keys = derive_keys(key);
 
   const BytesView nonce = sealed.subspan(0, kNonceSize);
   const BytesView body =
@@ -98,7 +87,7 @@ Bytes aead_open(const SymmetricKey& key, BytesView sealed, BytesView aad,
     throw CryptoError("aead_open: authentication failed");
 
   Bytes plaintext(body.begin(), body.end());
-  apply_stream(keys.enc, nonce, plaintext, backend);
+  apply_stream(keys.enc, nonce, plaintext);
   return plaintext;
 }
 

@@ -6,9 +6,10 @@
 // where tag = HMAC-SHA256(mac_key, nonce || aad_len || aad || body).
 // Decryption verifies the tag in constant time before any parsing.
 //
-// Two interchangeable stream backends are provided (ChaCha20 default,
-// AES-256-CTR); the backend id is bound into the HKDF info string so a
-// ciphertext can only be opened by the backend that produced it.
+// The stream cipher is ChaCha20. The HKDF info string ends in the cipher
+// id byte kChaCha20CipherId (0x00), the id the wire and API codecs carry;
+// it is part of the key derivation, so changing it changes every
+// ciphertext and stored blobs or captured frames stop opening.
 #pragma once
 
 #include <array>
@@ -17,11 +18,9 @@
 
 namespace emergence::crypto {
 
-/// Symmetric cipher backend selector.
-enum class CipherBackend : std::uint8_t {
-  kChaCha20 = 0,
-  kAes256Ctr = 1,
-};
+/// The cipher id the wire and API codecs carry. ChaCha20 is the only
+/// cipher; decoders reject any other id.
+constexpr std::uint8_t kChaCha20CipherId = 0;
 
 /// A 256-bit symmetric key.
 struct SymmetricKey {
@@ -35,11 +34,10 @@ struct SymmetricKey {
 /// tag. The nonce must be unique per (key, message); callers obtain one from
 /// the DRBG.
 Bytes aead_seal(const SymmetricKey& key, BytesView nonce12, BytesView plaintext,
-                BytesView aad, CipherBackend backend = CipherBackend::kChaCha20);
+                BytesView aad);
 
 /// Opens a sealed buffer. Throws CryptoError if the tag does not verify.
-Bytes aead_open(const SymmetricKey& key, BytesView sealed, BytesView aad,
-                CipherBackend backend = CipherBackend::kChaCha20);
+Bytes aead_open(const SymmetricKey& key, BytesView sealed, BytesView aad);
 
 /// Total ciphertext overhead (nonce + tag) in bytes.
 constexpr std::size_t kAeadOverhead = 12 + 32;

@@ -91,8 +91,7 @@ std::optional<Bytes> Adversary::attempt_restore(sim::Time now) {
         if (key_it == keys_.end()) continue;
         EnvelopeContent content;
         try {
-          content = open_envelope(key_it->second, sealed, onion.column,
-                                  config_.backend);
+          content = open_envelope(key_it->second, sealed, onion.column);
         } catch (const Error&) {
           continue;
         }
@@ -115,7 +114,7 @@ std::optional<Bytes> Adversary::attempt_restore(sim::Time now) {
         if (!content.inner_key.empty() && !onion.inner.empty()) {
           try {
             discovered.push_back(unwrap_inner(content.inner_key, onion.inner,
-                                              onion.column, config_.backend));
+                                              onion.column));
           } catch (const Error&) {
           }
         }

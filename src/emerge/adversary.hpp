@@ -64,7 +64,6 @@ class Adversary {
     /// Pass 0 for the share scheme: every holder owns an individual key.
     std::size_t onion_slots_k = 1;
     std::size_t share_threshold_m = 1;  ///< Shamir threshold (share scheme)
-    crypto::CipherBackend backend = crypto::CipherBackend::kChaCha20;
     /// Shared coalition membership. Null (the default) gives this adversary
     /// a private set — the historical behavior. Session fleets pass one
     /// shared set so that marking a coalition of tens of thousands of

@@ -59,9 +59,9 @@ Bytes inner_aad(std::uint16_t column) {
 }  // namespace
 
 Bytes unwrap_inner(BytesView inner_key, BytesView sealed_inner,
-                   std::uint16_t column, crypto::CipherBackend backend) {
+                   std::uint16_t column) {
   const crypto::SymmetricKey key = crypto::SymmetricKey::from_bytes(inner_key);
-  return crypto::aead_open(key, sealed_inner, inner_aad(column), backend);
+  return crypto::aead_open(key, sealed_inner, inner_aad(column));
 }
 
 const Bytes& ColumnOnion::envelope_for(std::uint16_t holder_index) const {
@@ -74,17 +74,16 @@ const Bytes& ColumnOnion::envelope_for(std::uint16_t holder_index) const {
 
 Bytes seal_envelope(const crypto::SymmetricKey& key,
                     const EnvelopeContent& content, std::uint16_t column,
-                    crypto::Drbg& drbg, crypto::CipherBackend backend) {
+                    crypto::Drbg& drbg) {
   const Bytes plaintext = serialize_envelope_content(content);
   const Bytes nonce = drbg.bytes(12);
-  return crypto::aead_seal(key, nonce, plaintext, column_aad(column), backend);
+  return crypto::aead_seal(key, nonce, plaintext, column_aad(column));
 }
 
 EnvelopeContent open_envelope(const crypto::SymmetricKey& key,
-                              BytesView sealed, std::uint16_t column,
-                              crypto::CipherBackend backend) {
+                              BytesView sealed, std::uint16_t column) {
   const Bytes plaintext =
-      crypto::aead_open(key, sealed, column_aad(column), backend);
+      crypto::aead_open(key, sealed, column_aad(column));
   return parse_envelope_content(plaintext);
 }
 
@@ -119,7 +118,7 @@ ColumnOnion parse_column_onion(BytesView raw) {
 }
 
 Bytes build_onion(const std::vector<ColumnBuildSpec>& columns,
-                  crypto::Drbg& drbg, crypto::CipherBackend backend) {
+                  crypto::Drbg& drbg) {
   require(!columns.empty(), "build_onion: at least one column required");
   Bytes inner;  // innermost first: empty beyond the terminal column
   for (std::size_t c = columns.size(); c-- > 0;) {
@@ -138,7 +137,7 @@ Bytes build_onion(const std::vector<ColumnBuildSpec>& columns,
       const crypto::SymmetricKey tk =
           crypto::SymmetricKey::from_bytes(transport_key);
       onion.inner = crypto::aead_seal(tk, drbg.bytes(12), inner,
-                                      inner_aad(onion.column), backend);
+                                      inner_aad(onion.column));
     }
 
     for (std::size_t h = 0; h < spec.envelopes.size(); ++h) {
@@ -148,8 +147,7 @@ Bytes build_onion(const std::vector<ColumnBuildSpec>& columns,
       content.inner_key = transport_key;
       onion.envelopes.emplace_back(
           static_cast<std::uint16_t>(h),
-          seal_envelope(spec.holder_keys[h], content, onion.column, drbg,
-                        backend));
+          seal_envelope(spec.holder_keys[h], content, onion.column, drbg));
     }
     inner = serialize_column_onion(onion);
   }

@@ -71,9 +71,7 @@ struct ColumnOnion {
 /// Unwraps a column's sealed inner onion with the transport key found in an
 /// opened envelope. Throws CryptoError on a wrong key or tampering.
 Bytes unwrap_inner(BytesView inner_key, BytesView sealed_inner,
-                   std::uint16_t column,
-                   crypto::CipherBackend backend =
-                       crypto::CipherBackend::kChaCha20);
+                   std::uint16_t column);
 
 // -- envelope crypto ---------------------------------------------------------
 
@@ -81,15 +79,11 @@ Bytes unwrap_inner(BytesView inner_key, BytesView sealed_inner,
 /// envelope cannot be replayed at a different column.
 Bytes seal_envelope(const crypto::SymmetricKey& key,
                     const EnvelopeContent& content, std::uint16_t column,
-                    crypto::Drbg& drbg,
-                    crypto::CipherBackend backend =
-                        crypto::CipherBackend::kChaCha20);
+                    crypto::Drbg& drbg);
 
 /// Opens an envelope; throws CryptoError on a wrong key or tampering.
 EnvelopeContent open_envelope(const crypto::SymmetricKey& key,
-                              BytesView sealed, std::uint16_t column,
-                              crypto::CipherBackend backend =
-                                  crypto::CipherBackend::kChaCha20);
+                              BytesView sealed, std::uint16_t column);
 
 // -- onion serialization -----------------------------------------------------
 
@@ -110,8 +104,6 @@ struct ColumnBuildSpec {
 /// Builds the full nested onion for columns 1..l. spec[c] describes column
 /// c+1. Returns the serialized outermost package (column 1).
 Bytes build_onion(const std::vector<ColumnBuildSpec>& columns,
-                  crypto::Drbg& drbg,
-                  crypto::CipherBackend backend =
-                      crypto::CipherBackend::kChaCha20);
+                  crypto::Drbg& drbg);
 
 }  // namespace emergence::core

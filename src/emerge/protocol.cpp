@@ -151,8 +151,8 @@ cloud::BlobId TimedReleaseSession::send(BytesView message,
   const crypto::SymmetricKey msg_key =
       crypto::SymmetricKey::from_bytes(secret_key_);
   const Bytes nonce = drbg_.bytes(12);
-  const Bytes ciphertext = crypto::aead_seal(
-      msg_key, nonce, message, bytes_of("emergence/message"), config_.backend);
+  const Bytes ciphertext =
+      crypto::aead_seal(msg_key, nonce, message, bytes_of("emergence/message"));
   blob_id_ = cloud_.upload(ciphertext, receiver_token);
 
   // 2. Pseudo-randomly select holders through DHT lookups.
@@ -228,7 +228,7 @@ cloud::BlobId TimedReleaseSession::send(BytesView message,
       }
     }
   }
-  const Bytes onion = build_onion(specs, drbg_, config_.backend);
+  const Bytes onion = build_onion(specs, drbg_);
 
   // 5. Register handlers, pre-assign keys, launch the first column.
   register_holder_handlers();
@@ -442,8 +442,7 @@ void TimedReleaseSession::process_holder(std::uint16_t column,
   EnvelopeContent content;
   try {
     onion = parse_column_onion(state.onion);
-    content = open_envelope(key, onion.envelope_for(holder_index), column,
-                            config_.backend);
+    content = open_envelope(key, onion.envelope_for(holder_index), column);
   } catch (const Error&) {
     ++report_.holders_stuck;
     return;
@@ -471,8 +470,7 @@ void TimedReleaseSession::process_holder(std::uint16_t column,
   // Unwrap the sealed inner onion with the transport key from my envelope.
   Bytes inner;
   try {
-    inner = unwrap_inner(content.inner_key, onion.inner, column,
-                         config_.backend);
+    inner = unwrap_inner(content.inner_key, onion.inner, column);
   } catch (const Error&) {
     ++report_.holders_stuck;
     return;
@@ -560,7 +558,7 @@ std::optional<Bytes> TimedReleaseSession::receiver_decrypt(
     const crypto::SymmetricKey key =
         crypto::SymmetricKey::from_bytes(*released_secret_);
     return crypto::aead_open(key, blob.ciphertext,
-                             bytes_of("emergence/message"), config_.backend);
+                             bytes_of("emergence/message"));
   } catch (const Error&) {
     return std::nullopt;
   }

@@ -45,7 +45,6 @@ struct SessionConfig {
   /// Delay a holder waits after the first package arrives before processing,
   /// letting all shares of a column assemble (network latency << th).
   double assembly_delay = 1.0;
-  crypto::CipherBackend backend = crypto::CipherBackend::kChaCha20;
 };
 
 /// One holder package on the wire: the unit a holder receives at each hop.

@@ -2,7 +2,7 @@
 //
 // Without a dispatcher every TimedReleaseSession chains the network's
 // default message handler and store observer, capturing the previous
-// closure: fine for the handful of concurrent sessions the e2e harness
+// closure: fine for the handful of concurrent sessions a test world
 // runs, fatal for a service fleet — the chains grow one link per session
 // ever created, every delivery walks the whole chain, and destroying a
 // finished session would leave later links capturing a dangling pointer.

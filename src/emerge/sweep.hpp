@@ -118,9 +118,10 @@ class SweepRunner {
   /// rules that make any client of this method bit-identical at any thread
   /// count. The first exception a shard throws abandons the remaining
   /// shards and is rethrown here once every participant has stopped.
-  /// Serializes with other evaluations on this runner. Reused by the
-  /// end-to-end runner (e2e_runner.hpp) so full-stack protocol sweeps
-  /// inherit the same determinism guarantees as the stat-engine sweeps.
+  /// Serializes with other evaluations on this runner. Reused by
+  /// workload::run_scenario (one shard per SessionFleet world) so
+  /// full-stack fleets, and with them the cross-validation matrix, inherit
+  /// the same determinism guarantees as the stat-engine sweeps.
   void run_shards(std::size_t shard_count,
                   const std::function<void(std::size_t shard)>& shard_fn);
 

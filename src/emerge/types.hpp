@@ -17,6 +17,14 @@ enum class SchemeKind : std::uint8_t {
 
 std::string to_string(SchemeKind kind);
 
+/// DHT substrate a world runs on (the role Overlay Weaver's pluggable
+/// algorithms played for the paper).
+enum class DhtBackend : std::uint8_t { kChord, kKademlia };
+
+inline std::string to_string(DhtBackend backend) {
+  return backend == DhtBackend::kChord ? "chord" : "kademlia";
+}
+
 /// Geometry of a multipath scheme: k replicated paths, l holders per path.
 /// The holding period is th = T / l.
 struct PathShape {

@@ -598,7 +598,7 @@ void NodeDaemon::process_slot(const SlotKey& key) {
   try {
     onion = core::parse_column_onion(slot.onion);
     content = core::open_envelope(layer_key, onion.envelope_for(holder_index),
-                                  column, slot.meta.backend);
+                                  column);
   } catch (const Error&) {
     ++report_.holders_stuck;
     return;
@@ -616,8 +616,7 @@ void NodeDaemon::process_slot(const SlotKey& key) {
 
   Bytes inner;
   try {
-    inner = core::unwrap_inner(content.inner_key, onion.inner, column,
-                               slot.meta.backend);
+    inner = core::unwrap_inner(content.inner_key, onion.inner, column);
   } catch (const Error&) {
     ++report_.holders_stuck;
     return;
@@ -745,7 +744,6 @@ void NodeDaemon::handle_submit(const Endpoint& from, Submit&& msg) {
   job.meta.l = static_cast<std::uint16_t>(l);
   job.meta.carriers_n = static_cast<std::uint16_t>(carriers);
   job.meta.threshold_m = static_cast<std::uint16_t>(threshold);
-  job.meta.backend = request.backend;
   job.meta.assembly_delay = request.assembly_delay;
   job.meta.receiver = msg.receiver;
 
@@ -819,7 +817,7 @@ void NodeDaemon::handle_submit(const Endpoint& from, Submit&& msg) {
       }
     }
   }
-  job.onion = core::build_onion(specs, drbg, request.backend);
+  job.onion = core::build_onion(specs, drbg);
   if (job.onion.size() + 256 > kMaxFramePayload) {
     reject("message too large for one wire frame");
     return;

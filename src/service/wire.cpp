@@ -70,7 +70,7 @@ void write_meta(BinaryWriter& w, const SessionMeta& meta) {
   w.u16(meta.l);
   w.u16(meta.carriers_n);
   w.u16(meta.threshold_m);
-  w.u8(static_cast<std::uint8_t>(meta.backend));
+  w.u8(crypto::kChaCha20CipherId);
   write_f64(w, meta.assembly_delay);
   write_endpoint(w, meta.receiver);
 }
@@ -88,11 +88,8 @@ SessionMeta read_meta(BinaryReader& r) {
   meta.l = r.u16();
   meta.carriers_n = r.u16();
   meta.threshold_m = r.u16();
-  const std::uint8_t backend = r.u8();
-  require(backend <= static_cast<std::uint8_t>(
-                         crypto::CipherBackend::kAes256Ctr),
+  require(r.u8() == crypto::kChaCha20CipherId,
           "SessionMeta: unknown cipher backend");
-  meta.backend = static_cast<crypto::CipherBackend>(backend);
   meta.assembly_delay = read_f64(r);
   meta.receiver = read_endpoint(r);
   return meta;

@@ -192,7 +192,6 @@ struct SessionMeta {
   std::uint16_t l = 0;
   std::uint16_t carriers_n = 0;
   std::uint16_t threshold_m = 0;
-  crypto::CipherBackend backend = crypto::CipherBackend::kChaCha20;
   double assembly_delay = 0.0;
   Endpoint receiver;  ///< where terminal holders deliver the EmergeEvent
 

@@ -1,0 +1,80 @@
+// Cross-validation of the full protocol stack against the statistical
+// engine: "two engines, one truth" (docs/architecture.md).
+//
+// Each matrix row is an ordinary ScenarioSpec run through run_scenario:
+// `worlds` independent SessionFleet worlds of a few sessions each, so the
+// full-stack side shares its world builder, seeding and outcome reduction
+// with every service fleet. At a pinned parameter point both engines
+// estimate the same Bernoulli rates, so their difference is bounded by
+// two-sample binomial noise. Release rates are gated on churn-free covert
+// rows (where the engines define the identical event: the coalition first
+// holds the secret >= x holding periods before tr); drop rates are gated
+// on dropping-adversary and churn-availability rows. A divergence beyond
+// the z-bound is, by construction, a bug in one of the engines — this
+// comparison has already flagged and fixed three (the share scheme's
+// all-columns release semantics in stat_engine.cpp, its shared onion-slot
+// keys, and the stored layer-key placement in protocol.cpp).
+#pragma once
+
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include "emerge/sweep.hpp"
+#include "workload/scenario.hpp"
+#include "workload/session_fleet.hpp"
+
+namespace emergence::workload {
+
+/// One gated comparison between the engines.
+struct CrossValMetric {
+  std::string metric;
+  double full_stack = 0.0;   ///< full-stack rate
+  double stat_engine = 0.0;  ///< stat-engine rate
+  double bound = 0.0;        ///< |full_stack - stat_engine| must be <= bound
+  std::size_t fs_trials = 0;
+  std::size_t stat_trials = 0;
+  bool pass = true;
+
+  double diff() const { return full_stack - stat_engine; }
+};
+
+/// Both engines' tallies at one scenario point plus the gated comparisons.
+struct CrossValResult {
+  ScenarioSpec scenario;
+  FleetTally full_stack;
+  core::RunTally stat;
+  std::vector<CrossValMetric> metrics;
+
+  bool pass() const;
+};
+
+/// The base of every crossval row: `worlds` worlds of `sessions_per_world`
+/// sessions each, started 1 ms apart at the head of an otherwise idle
+/// world; population 100 (the paper's Overlay Weaver runs), joint k=2 l=3,
+/// T = 1800 s, no churn, no coalition, repair every 30 s.
+ScenarioSpec crossval_scenario(std::string name, std::size_t worlds,
+                               std::size_t sessions_per_world = 1);
+
+/// Runs both engines — the stat engine at the matched parameter point
+/// (same population, malicious count, geometry, churn ratio) — and gates
+/// the comparable rates within two-sample binomial bounds:
+/// |p1 - p2| <= z * sqrt(pp*(1-pp)*(1/n1 + 1/n2)) + (1/n1 + 1/n2), with
+/// pp the pooled rate and the additive term a continuity correction so
+/// exact-zero rates cannot fail on one stray success. z defaults to 4
+/// (two-sided tail ~6e-5 per comparison, safe across the whole matrix).
+/// The sessions of one world share a coalition and a ring, so the bound
+/// conservatively uses spec.worlds, not the session count, as the
+/// full-stack sample size.
+CrossValResult cross_validate(core::SweepRunner& sweeps,
+                              const ScenarioSpec& spec, std::size_t stat_runs,
+                              double z = 4.0);
+
+/// The pinned cross-validation matrix behind bench/e2e_crossval.cpp and
+/// the CI smoke job: all four schemes, both backends, churn on/off,
+/// covert/dropping adversaries, 1..8 sessions per world and a lossy
+/// transport, at points where both engines define the same events.
+std::vector<ScenarioSpec> crossval_matrix(std::size_t worlds,
+                                          std::size_t population = 100);
+
+}  // namespace emergence::workload

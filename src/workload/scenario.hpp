@@ -13,6 +13,12 @@
 // cleanly: the named scenarios define the *shape* of the load, the caller
 // sizes it — the same metro-diurnal spec runs as a 384-node CI smoke and
 // as the 100k-node / 500k-session acceptance world.
+//
+// ScenarioSpec is the one scenario type: the cross-validation matrix
+// (workload/crossval.hpp) is a list of ScenarioSpecs too, run as many
+// small worlds of a few sessions each, so every scenario axis is added
+// here once and reaches the service fleets and the engine comparison
+// alike.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +26,8 @@
 #include <vector>
 
 #include "common/options.hpp"
-#include "emerge/e2e_runner.hpp"
+#include "dht/transport.hpp"
+#include "emerge/adversary.hpp"
 #include "emerge/types.hpp"
 #include "workload/arrival.hpp"
 #include "workload/lifetime.hpp"
@@ -68,6 +75,17 @@ struct ScenarioSpec {
   /// override selects lan / wan / lossy / straggler / partition-heal axes.
   dht::TransportModel transport;
 
+  // -- maintenance -------------------------------------------------------------
+  /// Chord replica repair and Kademlia republish interval in virtual
+  /// seconds; Chord stabilize runs every min(60, repair / 2). The default
+  /// 240 (stabilize 60) is the service cadence: at 100k nodes maintenance
+  /// events dominate the wall clock. Cross-validation rows set 30, because
+  /// the stat engine models repair as instant and the full stack only
+  /// approaches that limit when repair runs far more often than the
+  /// holding period (docs/architecture.md, "Two engines, one truth").
+  /// Deliberately not a parse_scenario key.
+  double repair_interval = 240.0;
+
   // -- execution ---------------------------------------------------------------
   /// Independent worlds the budget is split across. Worlds shard over the
   /// sweep pool and merge in ascending index order, so the scenario tally
@@ -89,8 +107,8 @@ struct ScenarioSpec {
   double holding_period() const {
     return emerging_time / static_cast<double>(shape.l);
   }
-  /// Share-scheme defaults, one home (mirrors E2eScenario::resolved_*):
-  /// carriers_n == 0 means k+1, threshold_m == 0 means k.
+  /// Share-scheme defaults, one home: carriers_n == 0 means k+1,
+  /// threshold_m == 0 means k.
   std::size_t resolved_carriers() const {
     if (scheme != core::SchemeKind::kShare) return shape.k;
     return carriers_n != 0 ? carriers_n : shape.k + 1;
@@ -102,10 +120,10 @@ struct ScenarioSpec {
   /// Budget of world `index` (earlier worlds absorb the remainder).
   std::size_t sessions_in_world(std::size_t index) const;
   /// True when the transport keeps the exact-at-tr delivery contract for
-  /// this geometry (mirrors E2eScenario::exact_delivery; 1.0 is the
-  /// SessionConfig assembly_delay every fleet world uses). The timing
-  /// gates in bench/service_load switch from strict equality to the
-  /// reap_slack lateness bound when this is false.
+  /// this geometry (1.0 is the SessionConfig assembly_delay every fleet
+  /// world uses). The timing gates in bench/service_load and the crossval
+  /// switch from strict equality to the reap_slack lateness bound when
+  /// this is false.
   bool exact_delivery() const {
     return transport.resolved(0.010, 0.100)
         .guarantees_exact_delivery(holding_period(), 1.0);
@@ -152,11 +170,5 @@ void add_protocol_options(OptionTable& table, core::SchemeKind& scheme,
 /// bound to `spec` (which must outlive the table). Exposed so help surfaces
 /// (bench drivers, the daemon) render the real key list instead of a copy.
 OptionTable scenario_option_table(ScenarioSpec& spec);
-
-/// Bridges a workload scenario onto the e2e cross-validation runner: same
-/// backend/scheme/geometry/population/adversary point, `runs` independent
-/// single-session worlds. Lets service scenarios reuse the "two engines,
-/// one truth" gates where the stat engine defines the same events.
-core::E2eScenario to_e2e_scenario(const ScenarioSpec& spec, std::size_t runs);
 
 }  // namespace emergence::workload

@@ -1,16 +1,17 @@
 // Open-loop traffic generation: fleets of TimedReleaseSessions streaming
 // through one long-lived shared world.
 //
-// The e2e harness builds a fresh world per Monte-Carlo run and tears it
-// down after at most 8 concurrent sessions; a *service* carries an open
-// stream of sessions against one substrate. SessionFleet is that service
-// model: an arrival process schedules session setups on the Simulator
-// clock, each session runs the full protocol (paths, onions, holders,
-// delivery at tr) against the shared DHT while the churn driver replays
-// the scenario's lifetime law underneath, and a reaper collects every
-// finished session's outcome into the exact-integer FleetTally before
-// recycling its arena slot — so half a million sessions fit in the memory
-// of the few tens of thousands that are ever concurrently live.
+// SessionFleet is the one full-stack world builder. A service carries an
+// open stream of sessions against one substrate; the cross-validation
+// matrix (workload/crossval.hpp) runs the same builder as hundreds of
+// small worlds of at most 8 sessions each. An arrival process schedules
+// session setups on the Simulator clock, each session runs the full
+// protocol (paths, onions, holders, delivery at tr) against the shared DHT
+// while the churn driver replays the scenario's lifetime law underneath,
+// and a reaper collects every finished session's outcome into the
+// exact-integer FleetTally before recycling its arena slot — so half a
+// million sessions fit in the memory of the few tens of thousands that are
+// ever concurrently live.
 //
 // Determinism contract (docs/architecture.md, "Workloads and scenarios"):
 // a world's tally is a pure function of (spec, world_index). All
@@ -51,9 +52,9 @@ namespace emergence::workload {
 /// merged in ascending index order (the sweep rule).
 struct FleetTally {
   /// One trial per session: release = coalition restored the secret
-  /// strictly early (same event as the e2e harness — share scheme cascades
-  /// from margin >= 2, pre-assigned-key schemes need margin == l); drop =
-  /// no delivery by tr; suffix histogram = restore margins.
+  /// strictly early (the stat engine's event — share scheme cascades from
+  /// margin >= 2, pre-assigned-key schemes need margin == l); drop = no
+  /// delivery by tr; suffix histogram = restore margins.
   core::RunTally tally;
 
   /// first_delivery - ts quantized to integer microseconds of virtual
@@ -128,6 +129,20 @@ class SessionFleet {
   static constexpr double kReapGrace = 2.0;
   /// Every this-many-th delivered session is decrypt-verified end to end.
   static constexpr std::uint64_t kPayloadCheckStride = 997;
+  /// Deliveries further than this from tr count as late. The protocol
+  /// schedules terminal delivery at the absolute time tr, so the observed
+  /// offset is exactly zero; one microsecond absorbs only the ns
+  /// quantization of the tally.
+  static constexpr std::int64_t kDeliveryToleranceNs = 1000;
+
+  /// Maps the coalition's earliest secret-possession time to whole holding
+  /// periods before tr (0 = never; l = essentially at ts). The strict
+  /// release event excludes the unavoidable terminal-slot leak (margin 1);
+  /// the stat engine scores the identical event (design-notes §2).
+  static std::size_t restore_margin_periods(double earliest,
+                                            double release_time,
+                                            double holding_period,
+                                            std::size_t path_length);
 
   /// `spec` must already be validate()d (run_scenario does). `tracer` (may
   /// be null: tracing off) receives the world's lifecycle + hop spans; its

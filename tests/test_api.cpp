@@ -39,7 +39,6 @@ SubmitRequest sample_request() {
   request.threshold_m = 2;
   request.emerging_time = 3600.0;
   request.assembly_delay = 0.5;
-  request.backend = crypto::CipherBackend::kAes256Ctr;
   request.seed = 0x1234;
   return request;
 }
@@ -57,9 +56,20 @@ TEST(ApiCodec, SubmitRequestRoundTripsByteIdentical) {
   EXPECT_EQ(back.threshold_m, request.threshold_m);
   EXPECT_EQ(back.emerging_time, request.emerging_time);
   EXPECT_EQ(back.assembly_delay, request.assembly_delay);
-  EXPECT_EQ(back.backend, request.backend);
   EXPECT_EQ(back.seed, request.seed);
   EXPECT_EQ(encode_submit_request(back), encoded);
+}
+
+TEST(ApiCodec, SubmitRequestRejectsUnknownCipherId) {
+  // The cipher id byte sits just before the trailing u64 seed. ChaCha20
+  // (id 0) is the only cipher; any other id is refused, not misread.
+  Bytes encoded = encode_submit_request(sample_request());
+  const std::size_t cipher_at = encoded.size() - 8 - 1;
+  ASSERT_EQ(encoded[cipher_at], crypto::kChaCha20CipherId);
+  for (const std::uint8_t id : {std::uint8_t{1}, std::uint8_t{0xFF}}) {
+    encoded[cipher_at] = id;
+    EXPECT_THROW(decode_submit_request(encoded), PreconditionError);
+  }
 }
 
 TEST(ApiCodec, EmergeEventRoundTripsByteIdentical) {

@@ -1,14 +1,13 @@
 // Known-answer and property tests for the from-scratch crypto substrate.
 //
 // Vectors: SHA-256 (FIPS 180-4 / NIST examples), HMAC-SHA256 (RFC 4231),
-// HKDF (RFC 5869), ChaCha20 (RFC 8439 §2.3.2/§2.4.2), AES (FIPS 197 App. C,
-// NIST SP 800-38A CTR).
+// HKDF (RFC 5869), ChaCha20 (RFC 8439 §2.3.2/§2.4.2).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/hex.hpp"
+#include "common/serial.hpp"
 #include "crypto/aead.hpp"
-#include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/gf256.hpp"
@@ -213,151 +212,89 @@ TEST(ChaCha20, CounterOffsetsProduceDifferentStream) {
 
 // -- AES (FIPS 197 / SP 800-38A) -------------------------------------------------
 
-TEST(Aes, Fips197Aes128Block) {
-  const Bytes key = from_hex("000102030405060708090a0b0c0d0e0f");
-  Bytes block = from_hex("00112233445566778899aabbccddeeff");
-  Aes aes(key);
-  aes.encrypt_block(block.data());
-  EXPECT_EQ(to_hex(block), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  aes.decrypt_block(block.data());
-  EXPECT_EQ(to_hex(block), "00112233445566778899aabbccddeeff");
-}
-
-TEST(Aes, Fips197Aes192Block) {
-  const Bytes key =
-      from_hex("000102030405060708090a0b0c0d0e0f1011121314151617");
-  Bytes block = from_hex("00112233445566778899aabbccddeeff");
-  Aes aes(key);
-  aes.encrypt_block(block.data());
-  EXPECT_EQ(to_hex(block), "dda97ca4864cdfe06eaf70a0ec0d7191");
-}
-
-TEST(Aes, Fips197Aes256Block) {
-  const Bytes key = from_hex(
-      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-  Bytes block = from_hex("00112233445566778899aabbccddeeff");
-  Aes aes(key);
-  aes.encrypt_block(block.data());
-  EXPECT_EQ(to_hex(block), "8ea2b7ca516745bfeafc49904b496089");
-  aes.decrypt_block(block.data());
-  EXPECT_EQ(to_hex(block), "00112233445566778899aabbccddeeff");
-}
-
-TEST(Aes, Sp80038aCtrAes128) {
-  // NIST SP 800-38A F.5.1 (CTR-AES128.Encrypt), adapted: our counter block
-  // is nonce(12) || u32 counter, so we use the vector's initial counter
-  // block f0..fc as nonce and 0xf7f8f9ff... hmm -- use the full 16-byte
-  // vector layout directly by picking nonce = f0f1f2f3f4f5f6f7f8f9fafb and
-  // initial counter 0xfcfdfeff.
-  const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
-  const Aes aes(key);
-  std::array<std::uint8_t, 12> nonce{};
-  const Bytes nonce_bytes = from_hex("f0f1f2f3f4f5f6f7f8f9fafb");
-  std::copy(nonce_bytes.begin(), nonce_bytes.end(), nonce.begin());
-  Bytes data = from_hex(
-      "6bc1bee22e409f96e93d7e117393172a"
-      "ae2d8a571e03ac9c9eb76fac45af8e51");
-  aes_ctr_xor(aes, nonce, 0xfcfdfeff, data);
-  EXPECT_EQ(to_hex(data),
-            "874d6191b620e3261bef6864990db6ce"
-            "9806f66b7970fdff8617187bb9fffdff");
-}
-
-TEST(Aes, CtrRoundTripArbitraryLength) {
-  const Aes aes(Bytes(32, 0x42));
-  std::array<std::uint8_t, 12> nonce{};
-  nonce[5] = 9;
-  const Bytes msg = bytes_of("a message that is not a multiple of sixteen");
-  Bytes work = msg;
-  aes_ctr_xor(aes, nonce, 1, work);
-  EXPECT_NE(work, msg);
-  aes_ctr_xor(aes, nonce, 1, work);
-  EXPECT_EQ(work, msg);
-}
-
-TEST(Aes, RejectsBadKeySizes) {
-  EXPECT_THROW(Aes(Bytes(15, 0)), PreconditionError);
-  EXPECT_THROW(Aes(Bytes(33, 0)), PreconditionError);
-  EXPECT_NO_THROW(Aes(Bytes(16, 0)));
-  EXPECT_NO_THROW(Aes(Bytes(24, 0)));
-  EXPECT_NO_THROW(Aes(Bytes(32, 0)));
-}
-
 // -- AEAD ------------------------------------------------------------------------
 
-class AeadBackends : public ::testing::TestWithParam<CipherBackend> {};
-
-TEST_P(AeadBackends, SealOpenRoundTrip) {
+TEST(Aead, SealOpenRoundTrip) {
   const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x11));
   const Bytes nonce(12, 0x22);
   const Bytes msg = bytes_of("attack at dawn");
   const Bytes aad = bytes_of("context");
-  const Bytes sealed = aead_seal(key, nonce, msg, aad, GetParam());
+  const Bytes sealed = aead_seal(key, nonce, msg, aad);
   EXPECT_EQ(sealed.size(), msg.size() + kAeadOverhead);
-  EXPECT_EQ(aead_open(key, sealed, aad, GetParam()), msg);
+  EXPECT_EQ(aead_open(key, sealed, aad), msg);
 }
 
-TEST_P(AeadBackends, WrongKeyFails) {
+TEST(Aead, WrongKeyFails) {
   const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x11));
   const SymmetricKey other = SymmetricKey::from_bytes(Bytes(32, 0x12));
-  const Bytes sealed =
-      aead_seal(key, Bytes(12, 0), bytes_of("m"), {}, GetParam());
-  EXPECT_THROW(aead_open(other, sealed, {}, GetParam()), CryptoError);
+  const Bytes sealed = aead_seal(key, Bytes(12, 0), bytes_of("m"), {});
+  EXPECT_THROW(aead_open(other, sealed, {}), CryptoError);
 }
 
-TEST_P(AeadBackends, WrongAadFails) {
+TEST(Aead, WrongAadFails) {
   const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x11));
   const Bytes sealed =
-      aead_seal(key, Bytes(12, 0), bytes_of("m"), bytes_of("a"), GetParam());
-  EXPECT_THROW(aead_open(key, sealed, bytes_of("b"), GetParam()), CryptoError);
+      aead_seal(key, Bytes(12, 0), bytes_of("m"), bytes_of("a"));
+  EXPECT_THROW(aead_open(key, sealed, bytes_of("b")), CryptoError);
 }
 
-TEST_P(AeadBackends, BitFlipAnywhereFails) {
+TEST(Aead, BitFlipAnywhereFails) {
   const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x33));
-  Bytes sealed =
-      aead_seal(key, Bytes(12, 1), bytes_of("payload bytes"), {}, GetParam());
+  Bytes sealed = aead_seal(key, Bytes(12, 1), bytes_of("payload bytes"), {});
   for (std::size_t i = 0; i < sealed.size(); i += 5) {
     Bytes tampered = sealed;
     tampered[i] ^= 0x01;
-    EXPECT_THROW(aead_open(key, tampered, {}, GetParam()), CryptoError)
-        << "flip at " << i;
+    EXPECT_THROW(aead_open(key, tampered, {}), CryptoError) << "flip at " << i;
   }
 }
 
-TEST_P(AeadBackends, TruncationFails) {
+TEST(Aead, TruncationFails) {
   const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x33));
-  const Bytes sealed =
-      aead_seal(key, Bytes(12, 1), bytes_of("payload"), {}, GetParam());
+  const Bytes sealed = aead_seal(key, Bytes(12, 1), bytes_of("payload"), {});
   const BytesView short_view(sealed.data(), sealed.size() - 1);
-  EXPECT_THROW(aead_open(key, short_view, {}, GetParam()), CryptoError);
-  EXPECT_THROW(aead_open(key, BytesView(sealed.data(), 10), {}, GetParam()),
-               CryptoError);
+  EXPECT_THROW(aead_open(key, short_view, {}), CryptoError);
+  EXPECT_THROW(aead_open(key, BytesView(sealed.data(), 10), {}), CryptoError);
 }
 
-TEST_P(AeadBackends, EmptyPlaintextSupported) {
+TEST(Aead, EmptyPlaintextSupported) {
   const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x44));
-  const Bytes sealed = aead_seal(key, Bytes(12, 2), {}, {}, GetParam());
-  EXPECT_TRUE(aead_open(key, sealed, {}, GetParam()).empty());
+  const Bytes sealed = aead_seal(key, Bytes(12, 2), {}, {});
+  EXPECT_TRUE(aead_open(key, sealed, {}).empty());
 }
 
-TEST_P(AeadBackends, BackendsAreIncompatible) {
-  const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x55));
-  const CipherBackend mine = GetParam();
-  const CipherBackend other = mine == CipherBackend::kChaCha20
-                                  ? CipherBackend::kAes256Ctr
-                                  : CipherBackend::kChaCha20;
-  const Bytes sealed = aead_seal(key, Bytes(12, 3), bytes_of("m"), {}, mine);
-  EXPECT_THROW(aead_open(key, sealed, {}, other), CryptoError);
-}
+TEST(Aead, ConstructionKeepsTheCipherIdInTheKdfInfo) {
+  // Rebuilds a ciphertext from the primitives: HKDF info ends in the
+  // cipher id byte 0x00, ChaCha20 from block counter 1, HMAC tag over
+  // nonce || u64 aad length || aad || body. Pins the bytes ciphertexts
+  // have always had, so stored blobs and captured frames keep opening.
+  const SymmetricKey key = SymmetricKey::from_bytes(Bytes(32, 0x66));
+  const Bytes nonce(12, 0x77);
+  const Bytes msg = bytes_of("pinned layout");
+  const Bytes aad = bytes_of("ad");
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, AeadBackends,
-                         ::testing::Values(CipherBackend::kChaCha20,
-                                           CipherBackend::kAes256Ctr),
-                         [](const auto& info) {
-                           return info.param == CipherBackend::kChaCha20
-                                      ? "ChaCha20"
-                                      : "Aes256Ctr";
-                         });
+  Bytes info = bytes_of("emergence/aead/v1");
+  info.push_back(0x00);
+  const Bytes okm = hkdf({}, key.to_bytes(), info, 64);
+  std::array<std::uint8_t, 32> enc{};
+  std::copy(okm.begin(), okm.begin() + 32, enc.begin());
+  std::array<std::uint8_t, 12> n{};
+  std::copy(nonce.begin(), nonce.end(), n.begin());
+  Bytes body = msg;
+  chacha20_xor(enc, n, 1, body);
+  BinaryWriter mac_input;
+  mac_input.raw(nonce);
+  mac_input.u64(aad.size());  // little-endian
+  mac_input.raw(aad);
+  mac_input.raw(body);
+  const Bytes tag =
+      hmac_sha256(BytesView(okm.data() + 32, 32), mac_input.bytes());
+
+  Bytes expected;
+  append(expected, nonce);
+  append(expected, body);
+  append(expected, tag);
+  EXPECT_EQ(aead_seal(key, nonce, msg, aad), expected);
+}
 
 TEST(SymmetricKey, FromBytesValidatesLength) {
   EXPECT_THROW(SymmetricKey::from_bytes(Bytes(31, 0)), PreconditionError);

@@ -58,11 +58,26 @@ SessionConfig share_config() {
   return c;
 }
 
-class SchemeEndToEnd : public ::testing::TestWithParam<SessionConfig> {};
+SessionConfig config_for(SchemeKind kind) {
+  switch (kind) {
+    case SchemeKind::kDisjoint:
+      return disjoint_config();
+    case SchemeKind::kShare:
+      return share_config();
+    default:
+      return joint_config();
+  }
+}
+
+// Parameterised on the scheme kind, not the whole SessionConfig: gtest prints
+// a struct param as its raw bytes, padding included, so the listed case names
+// picked up leftover heap bytes and changed from run to run.
+class SchemeEndToEnd : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(SchemeEndToEnd, SecretEmergesExactlyAtReleaseTime) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, GetParam(), 7);
+  TimedReleaseSession session(*w.net, w.cloud, nullptr, config_for(GetParam()),
+                              7);
   session.send(bytes_of("meet me at the bridge"), "bob-token");
 
   // Not released before tr.
@@ -81,7 +96,8 @@ TEST_P(SchemeEndToEnd, SecretEmergesExactlyAtReleaseTime) {
 
 TEST_P(SchemeEndToEnd, WrongReceiverTokenRejectedByCloud) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, GetParam(), 8);
+  TimedReleaseSession session(*w.net, w.cloud, nullptr, config_for(GetParam()),
+                              8);
   session.send(bytes_of("msg"), "bob-token");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -89,10 +105,11 @@ TEST_P(SchemeEndToEnd, WrongReceiverTokenRejectedByCloud) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeEndToEnd,
-                         ::testing::Values(joint_config(), disjoint_config(),
-                                           share_config()),
+                         ::testing::Values(SchemeKind::kJoint,
+                                           SchemeKind::kDisjoint,
+                                           SchemeKind::kShare),
                          [](const auto& info) {
-                           return to_string(info.param.kind);
+                           return to_string(info.param);
                          });
 
 // -- substrate independence: the same protocol over Kademlia -----------------
@@ -111,20 +128,6 @@ struct KademliaWorld {
   }
 };
 
-SessionConfig config_for(SchemeKind kind) {
-  switch (kind) {
-    case SchemeKind::kDisjoint:
-      return disjoint_config();
-    case SchemeKind::kShare:
-      return share_config();
-    default:
-      return joint_config();
-  }
-}
-
-// Parameterised on the scheme kind, not the whole SessionConfig: gtest prints
-// a struct param as its raw bytes, padding included, so the listed case names
-// picked up leftover heap bytes and changed from run to run.
 class SchemeOnKademlia : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(SchemeOnKademlia, EndToEndOverXorMetricDht) {
@@ -209,8 +212,7 @@ TEST(DropAttack, JointSurvivesOneMaliciousHolderPerColumn) {
   // Fig. 4's point: (H1,1 H2,2 H1,3) malicious cannot cut the node-joint
   // hop graph -- the path through the other holders stays alive.
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1});
   TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 13);
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
@@ -224,8 +226,7 @@ TEST(DropAttack, JointSurvivesOneMaliciousHolderPerColumn) {
 TEST(DropAttack, DisjointDiesWithOneMaliciousHolderPerPath) {
   // Same malicious pattern kills the node-disjoint scheme (Fig. 3 vs 4).
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1});
   TimedReleaseSession session(*w.net, w.cloud, &adv, disjoint_config(), 13);
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
@@ -238,8 +239,7 @@ TEST(DropAttack, DisjointDiesWithOneMaliciousHolderPerPath) {
 
 TEST(DropAttack, JointDiesWhenAFullColumnIsMalicious) {
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1});
   TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 14);
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[1][0]);
@@ -252,8 +252,7 @@ TEST(DropAttack, ShareSchemeToleratesMinorityCarrierDrop) {
   // One dropped carrier per column leaves m = 2 of n = 3 shares: enough.
   // Share-scheme holders carry individual keys, so onion_slots_k = 0.
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2});
   TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 15);
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[0][2]);  // extra carrier H3,1
@@ -264,8 +263,7 @@ TEST(DropAttack, ShareSchemeToleratesMinorityCarrierDrop) {
 
 TEST(DropAttack, ShareSchemeDiesWhenMajorityDrops) {
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2});
   TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 16);
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[0][0]);
@@ -280,8 +278,7 @@ TEST(ReleaseAhead, AllColumnsCompromisedRestoresAtStart) {
   // The K4 case: a malicious holder in every column (keys pre-assigned at
   // ts) plus the captured package restores the secret before tr.
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1});
   TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 17);
   session.send(bytes_of("exam questions"), "t");
   const PathLayout& layout = session.layout();
@@ -305,8 +302,7 @@ TEST(ReleaseAhead, AllColumnsCompromisedRestoresAtStart) {
 TEST(ReleaseAhead, GapInColumnsBlocksEarlyRestore) {
   // The K3 case of Fig. 2(b): head and tail compromised, middle intact.
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1});
   TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 18);
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
@@ -331,8 +327,7 @@ TEST(ReleaseAhead, GapInColumnsBlocksEarlyRestore) {
 TEST(ReleaseAhead, CleanPathsLeakNothing) {
   // The K1 case: no malicious holder anywhere.
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1});
   TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 19);
   session.send(bytes_of("m"), "t");
   w.sim.run();
@@ -345,8 +340,7 @@ TEST(ReleaseAhead, ShareSchemeNeedsThresholdPerColumn) {
   // One malicious carrier per column captures one share per key: below the
   // m = 2 threshold, so no early restore; the protocol still completes.
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2});
   TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 20);
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
@@ -371,8 +365,7 @@ TEST(ReleaseAhead, ShareSchemeThresholdInOneColumnCascades) {
   // to match (stat_engine.cpp) after the e2e cross-validation sweep
   // flagged the divergence.
   World w;
-  Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2,
-                                  crypto::CipherBackend::kChaCha20});
+  Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2});
   TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 21);
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();

@@ -38,7 +38,6 @@ std::vector<WireMessage> sample_messages() {
   meta.l = 4;
   meta.carriers_n = 5;
   meta.threshold_m = 2;
-  meta.backend = crypto::CipherBackend::kAes256Ctr;
   meta.assembly_delay = 1.5;
   meta.receiver = ep(0x7F000001, 4242);
 
@@ -195,6 +194,23 @@ TEST(Wire, RejectsMalformedPayload) {
   WireStats stats;
   EXPECT_FALSE(decode_frame(frame, stats).has_value());
   EXPECT_EQ(stats.malformed_payload, 1u);
+}
+
+TEST(Wire, SessionMetaRejectsUnknownCipherId) {
+  // Package payload: SessionMeta first, whose cipher id byte follows the
+  // nonce, two f64 times, the scheme byte and four u16 geometry fields.
+  SessionMeta meta;
+  meta.k = 2;
+  meta.l = 3;
+  Bytes frame =
+      encode_frame(WireMessage{Package{meta, id_of("p"), Bytes{1}, 4}});
+  const std::size_t cipher_at = 7 + 8 + 8 + 8 + 1 + 4 * 2;
+  ASSERT_EQ(frame[cipher_at], crypto::kChaCha20CipherId);
+  frame[cipher_at] = 1;
+  WireStats stats;
+  EXPECT_FALSE(decode_frame(frame, stats).has_value());
+  EXPECT_EQ(stats.malformed_payload, 1u);
+  EXPECT_EQ(stats.frames_received, 0u);
 }
 
 TEST(Wire, TrailingGarbageInPayloadIsMalformed) {

@@ -276,6 +276,8 @@ TEST(Scenarios, RegistryIsValidAndCoversTheAdvertisedAxes) {
     dropping = dropping || s.attack_mode == core::AttackMode::kDropping;
     share = share || s.scheme == core::SchemeKind::kShare;
     transient = transient || s.transient_fraction > 0.0;
+    // Service cadence: repair/republish 240 s, hence stabilize 60 s.
+    EXPECT_EQ(s.repair_interval, 240.0) << s.name;
   }
   EXPECT_EQ(arrivals.size(), 4u);   // every arrival process appears
   EXPECT_EQ(lifetimes.size(), 4u);  // every lifetime law appears
@@ -331,20 +333,6 @@ TEST(Scenarios, ParserRejectsMalformedSpecsWithClearDiagnostics) {
   EXPECT_NE(message_of("poisson-open:backend=ipfs").find("chord or kademlia"),
             std::string::npos);
   EXPECT_THROW(parse_scenario(""), PreconditionError);
-}
-
-TEST(Scenarios, BridgesOntoTheE2eRunner) {
-  ScenarioSpec spec = find_scenario("share-threshold");
-  spec.population = 64;
-  const core::E2eScenario e2e = to_e2e_scenario(spec, 25);
-  EXPECT_EQ(e2e.kind, core::SchemeKind::kShare);
-  EXPECT_EQ(e2e.carriers_n, 4u);
-  EXPECT_EQ(e2e.threshold_m, 2u);
-  EXPECT_EQ(e2e.population, 64u);
-  EXPECT_EQ(e2e.runs, 25u);
-  EXPECT_EQ(e2e.sessions, 1u);
-  EXPECT_DOUBLE_EQ(e2e.p, spec.malicious_p);
-  EXPECT_EQ(e2e.churn, spec.churn);
 }
 
 // -- Network::erase hygiene ---------------------------------------------------
