@@ -26,9 +26,10 @@
 //   --matrix                         run every named scenario
 //   --population=N --sessions=N --worlds=N --seed=N   scale overrides
 //   --threads=N                      sweep pool size (never changes tallies)
-//   --domains=N                      within-world parallel domains (0 =
-//                                    legacy serial loop; >= 1 = the windowed
-//                                    domain executor, see sim/domain_executor)
+//   --domains=N                      within-world parallel domains of the
+//                                    windowed domain executor (1-1024, see
+//                                    sim/domain_executor); never changes
+//                                    the fingerprints
 //   --domains-compare=A,B,...        run each scenario once per listed domain
 //                                    count and gate bit-identical tally AND
 //                                    transport fingerprints across all of
@@ -109,7 +110,7 @@ void add_load_options(OptionTable& table, Options& o) {
   table.add_size("sessions", "override the session budget", &o.sessions);
   table.add_size("worlds", "override the world count", &o.worlds);
   table.add("domains", "N",
-            "within-world parallel domains (0 = legacy serial loop)",
+            "within-world parallel domains (1-1024; never changes tallies)",
             [&o](const std::string& v) {
               o.domains = parse_size_option("domains", v);
               o.domains_set = true;

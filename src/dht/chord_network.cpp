@@ -292,9 +292,10 @@ ChordNode* ChordNetwork::live_node(const NodeId& id) {
 
 ChordNode& ChordNetwork::random_live_node() {
   require(!alive_handles_.empty(), "ChordNetwork: no live nodes");
-  // In-window lookups draw the entry pick from the executing session's own
-  // stream (domain-count invariant); barrier/serial code keeps the shared
-  // network stream, preserving the legacy draw sequence bit-for-bit.
+  // Lookups under a session's execution context draw the entry pick from
+  // that session's own stream (domain-count invariant); code outside any
+  // context (maintenance, churn, non-fleet callers) draws from the shared
+  // network stream.
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
   return *slots_.nodes[alive_handles_[rng.index(alive_handles_.size())]];

@@ -253,9 +253,10 @@ LookupResult KademliaNetwork::iterative_find(const NodeId& key) {
     result.ok = false;
     return result;
   }
-  // In-window lookups draw the entry pick from the executing session's own
-  // stream (domain-count invariant); barrier/serial code keeps the shared
-  // network stream, preserving the legacy draw sequence bit-for-bit.
+  // Lookups under a session's execution context draw the entry pick from
+  // that session's own stream (domain-count invariant); code outside any
+  // context (maintenance, churn, non-fleet callers) draws from the shared
+  // network stream.
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
   KademliaNode& origin =
@@ -266,10 +267,11 @@ LookupResult KademliaNetwork::iterative_find(const NodeId& key) {
 LookupResult KademliaNetwork::iterative_find_from(KademliaNode& origin,
                                                   const NodeId& key) {
   LookupResult result;
-  // Executor windows run lookups READ-ONLY: the k-bucket adaptation a
+  // Lookups under a session's execution context (every fleet session, in
+  // its windows and at its setup) run READ-ONLY: the k-bucket adaptation a
   // lookup normally performs (observe/drop contacts) would both race across
   // parallel domains and make routing tables depend on the domain count.
-  // Barrier-time and legacy-serial lookups still adapt exactly as before.
+  // Lookups outside any context (maintenance, non-fleet callers) adapt.
   sim::ExecutionContext* ctx = sim::ExecutionContext::active_on(&simulator_);
   const bool read_only = ctx != nullptr;
   LookupStats& stats = (ctx != nullptr && ctx->lookup_stats != nullptr)

@@ -10,8 +10,8 @@
 // with exponential backoff, and a deterministic partition-heal window —
 // while TransportModel::ideal() resolves to *exactly* the historical
 // uniform draw (one Rng::real() per message, one scheduled event, no drop
-// branch), so pinned-seed runs stay bit-for-bit identical to pre-transport
-// history (golden-fingerprint regression in tests/test_transport.cpp).
+// branch), so pinned-seed runs stay bit-for-bit reproducible
+// (golden-fingerprint regression in tests/test_transport.cpp).
 //
 // Determinism contract: all randomness flows through the owning network's
 // Rng in send order; zone assignment is a pure function of
@@ -40,7 +40,7 @@ namespace emergence::dht {
 /// Exact per-network transport counters. Integer counters plus the exact
 /// Histogram64, so merge() is associative/commutative and any sharding of
 /// the same worlds reproduces the serial stats bit-identically. Kept OUT of
-/// FleetTally::fingerprint() (the pre-transport goldens stay anchored);
+/// FleetTally::fingerprint() (the protocol-outcome goldens stay anchored);
 /// thread-invariance gates compare TransportStats::fingerprint() alongside.
 struct TransportStats {
   std::uint64_t messages = 0;   ///< send() calls (logical messages)
@@ -131,9 +131,8 @@ struct TransportModel {
   /// Best-case latency of one successful attempt: the floor of the latency
   /// law. This is the domain executor's conservative lookahead — the
   /// soonest a message sent at a window barrier can become a domain event.
-  /// 0 for laws without a configured floor (the executor rejects that and
-  /// asks for an explicit epsilon; resolved ideal() has the historical
-  /// 10ms floor).
+  /// 0 for laws without a configured floor (ScenarioSpec::validate()
+  /// rejects that; resolved ideal() has the historical 10ms floor).
   double min_single_latency() const;
   /// Sum of all retransmit delays: timeout * (1 + b + ... + b^(r-1)).
   double retry_delay_sum() const;

@@ -42,12 +42,19 @@ void ScenarioSpec::validate() const {
               "': holding period T/l too short for the network timing "
               "contract (need > " + std::to_string(min_th) +
               " virtual seconds)");
+  // The domain executor's lookahead is the transport's latency floor; a
+  // law that can deliver instantly (a programmatic lognormal without
+  // min_latency, a zero-floor uniform or zoned range) has none to give.
+  require(net.min_single_latency() > 0.0,
+          "ScenarioSpec '" + name +
+              "': transport latency floor (min_single_latency) must be > 0 "
+              "for the domain executor's lookahead");
   require(malicious_p >= 0.0 && malicious_p <= 1.0,
           "ScenarioSpec '" + name + "': p must lie in [0, 1]");
   require(repair_interval > 0.0,
           "ScenarioSpec '" + name + "': repair interval must be positive");
-  require(domains <= 1024,
-          "ScenarioSpec '" + name + "': domains capped at 1024");
+  require(domains >= 1 && domains <= 1024,
+          "ScenarioSpec '" + name + "': domains must lie in [1, 1024]");
   require(transient_fraction >= 0.0 && transient_fraction < 1.0,
           "ScenarioSpec '" + name + "': transient fraction must lie in [0, 1)");
   if (churn) {
@@ -300,8 +307,9 @@ OptionTable scenario_option_table(ScenarioSpec& spec) {
   table.add_size("sessions", "session budget across worlds", &spec.sessions);
   table.add_size("worlds", "independent worlds sharded over the pool",
                  &spec.worlds);
-  // 0 = legacy serial loop; >= 1 = the windowed domain executor.
-  table.add_size("domains", "parallel domains within each world (0 = serial)",
+  table.add_size("domains",
+                 "parallel domains within each world (1-1024; never "
+                 "changes tallies)",
                  &spec.domains);
   table.add_u64("seed", "root seed (decimal or 0x hex)", &spec.seed);
   add_protocol_options(table, spec.scheme, spec.shape, spec.carriers_n,

@@ -70,8 +70,7 @@ struct ScenarioSpec {
   // -- transport ---------------------------------------------------------------
   /// Message-level transport every world's network runs on (latency law,
   /// iid loss, bounded retries, optional partition window). The default
-  /// ideal() resolves to the historical uniform[10ms, 100ms] draw and is
-  /// bit-identical to pre-transport tallies at pinned seeds; the net=
+  /// ideal() resolves to the historical uniform[10ms, 100ms] draw; the net=
   /// override selects lan / wan / lossy / straggler / partition-heal axes.
   dht::TransportModel transport;
 
@@ -92,15 +91,11 @@ struct ScenarioSpec {
   /// is bit-identical at any thread count. 1 = one big shared world (the
   /// acceptance configuration).
   std::size_t worlds = 1;
-  /// Parallel domains WITHIN each world. 0 (the default) runs the legacy
-  /// serial event loop, byte-for-byte identical to pre-executor history;
-  /// any value >= 1 drives the world through sim::DomainExecutor's
-  /// conservative windows (sessions partitioned by index % domains).
-  /// Executor tallies form their own fingerprint family — bit-identical
-  /// across ANY domains >= 1 and any worker count, but not comparable to
-  /// domains=0 (the executor's barrier-eager global ordering and per-
-  /// session rng streams are a deliberately different schedule).
-  std::size_t domains = 0;
+  /// Parallel domains WITHIN each world, in [1, 1024]. Every world runs
+  /// through sim::DomainExecutor's conservative windows, sessions
+  /// partitioned by index % domains; tallies are bit-identical across ANY
+  /// domain count and any worker count, so this knob only moves wall-clock.
+  std::size_t domains = 1;
   std::uint64_t seed = 0x5EA51CE;
 
   double mean_lifetime() const { return emerging_time / churn_alpha; }
@@ -131,7 +126,8 @@ struct ScenarioSpec {
 
   /// Throws PreconditionError with a field-naming message on any invalid
   /// combination (zero population/sessions, p outside [0,1], alpha <= 0,
-  /// share-threshold violations, th too short for the network, ...).
+  /// domains outside [1, 1024], share-threshold violations, th too short
+  /// for the network, a transport with no latency floor, ...).
   void validate() const;
 };
 

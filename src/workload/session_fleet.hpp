@@ -22,14 +22,14 @@
 // any thread count — regression-tested at 1/2/8 threads like every other
 // sweep in this repository.
 //
-// With ScenarioSpec::domains >= 1 a world additionally runs WITHIN-world
-// parallel via sim::DomainExecutor: sessions are partitioned by
-// index % domains, all shared-state mutation stays on the serial barrier
-// (arrivals/setup, churn, maintenance, reaps), and each session's message
-// traffic executes in its domain's queue drawing from its own rng stream.
-// Executor tallies are bit-identical across ANY domains >= 1 and any
-// worker count (the bench's 1-vs-8 fingerprint gate), forming their own
-// fingerprint family distinct from the domains=0 legacy serial schedule.
+// Every world runs through sim::DomainExecutor, the one schedule:
+// sessions are partitioned by index % ScenarioSpec::domains, all
+// shared-state mutation stays on the serial barrier (arrivals/setup, churn,
+// maintenance, reaps), and each session's message traffic executes in its
+// domain's queue drawing from its own rng stream. Tallies are bit-identical
+// across ANY domain count and any worker count (the bench's 1-vs-8
+// fingerprint gate), and a world ends within one lookahead window of its
+// last reap.
 #pragma once
 
 #include <cstdint>
@@ -92,17 +92,16 @@ struct FleetTally {
   std::uint64_t worlds = 0;
 
   /// Summed transport counters of every world's network. Deliberately NOT
-  /// part of fingerprint(): the protocol-outcome digest is pinned to
-  /// pre-transport history (the ideal() bit-identity golden); transport
+  /// part of fingerprint(): the protocol-outcome digest is pinned by the
+  /// TransportGolden tests independently of transport bookkeeping; transport
   /// counters carry their own TransportStats::fingerprint() for the
   /// thread-invariance gates.
   dht::TransportStats transport;
 
-  /// Executor mode only (ScenarioSpec::domains >= 1): window events
-  /// executed per domain queue, summed elementwise across worlds. The
-  /// partition itself changes with the domain count, so this is
-  /// D-dependent by construction and — like transport — deliberately NOT
-  /// part of fingerprint(); it feeds the bench's per-domain load report.
+  /// Window events executed per domain queue, summed elementwise across
+  /// worlds. The partition itself changes with the domain count, so this
+  /// is D-dependent by construction and — like transport — deliberately
+  /// NOT part of fingerprint(); it feeds the bench's per-domain load report.
   std::vector<std::uint64_t> events_per_domain;
 
   void merge(const FleetTally& other);

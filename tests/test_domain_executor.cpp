@@ -1,7 +1,8 @@
 // Tests for the conservative-window parallel executor and its seams: the
 // ExecutionContext redirect, window/barrier ordering, commutative stat
 // merges, and the headline claim — fleet tallies bit-identical at ANY
-// domain count (the serial legacy path stays its own fingerprint family).
+// domain count (every fleet world runs on the executor; domains=1 is the
+// single-queue reference the other counts are compared against).
 #include <gtest/gtest.h>
 
 #include <string>

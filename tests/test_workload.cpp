@@ -332,7 +332,31 @@ TEST(Scenarios, ParserRejectsMalformedSpecsWithClearDiagnostics) {
             std::string::npos);
   EXPECT_NE(message_of("poisson-open:backend=ipfs").find("chord or kademlia"),
             std::string::npos);
+  EXPECT_NE(message_of("poisson-open:domains=0").find("domains"),
+            std::string::npos);  // validate(): one schedule, >= 1 domain
   EXPECT_THROW(parse_scenario(""), PreconditionError);
+}
+
+TEST(Scenarios, ValidateRejectsTransportWithoutLatencyFloor) {
+  // A programmatic lognormal law leaves min_latency at 0, which
+  // TransportModel::validate() accepts; the domain executor cannot take a
+  // zero lookahead, so the spec must fail before any world is built.
+  ScenarioSpec spec = find_scenario("poisson-open");
+  spec.transport.kind = dht::LatencyKind::kLogNormal;
+  spec.transport.log_mu = std::log(0.030);
+  spec.transport.log_sigma = 1.0;
+  spec.transport.cap = 1.0;
+  EXPECT_NO_THROW(spec.transport.validate());
+  try {
+    spec.validate();
+    ADD_FAILURE() << "zero-floor transport accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("transport latency floor"),
+              std::string::npos)
+        << e.what();
+  }
+  spec.transport.min_latency = 0.0005;
+  EXPECT_NO_THROW(spec.validate());
 }
 
 // -- Network::erase hygiene ---------------------------------------------------
@@ -428,6 +452,28 @@ TEST(SessionFleet, ExactAccountingAndTimingContract) {
   EXPECT_EQ(t.latency_us.percentile(0.99), expect_us);
   EXPECT_EQ(t.latency_us.max(), expect_us);
   EXPECT_EQ(t.max_delivery_offset_ns, 0);
+}
+
+TEST(SessionFleet, EndsWithinOneWindowOfItsLastReap) {
+  // Deterministic arrivals every 0.25 s put the last session's start, and
+  // so its reap at release + kReapGrace + reap_slack, at an exact instant.
+  // The drive stops at the first window barrier after that reap, however
+  // much maintenance the churn driver still has queued.
+  ScenarioSpec spec = fleet_scenario();
+  spec.worlds = 1;
+  spec.arrival.kind = ArrivalKind::kDeterministic;
+  spec.arrival.rate = 4.0;
+  core::SweepRunner sweeps(core::SweepOptions{1, 64});
+  const FleetTally t = run_scenario(sweeps, spec);
+  ASSERT_EQ(t.sessions_started, spec.sessions);
+  const double last_reap =
+      static_cast<double>(spec.sessions) / spec.arrival.rate +
+      spec.emerging_time + SessionFleet::kReapGrace +
+      spec.transport.reap_slack(spec.shape.l);
+  const double lookahead =
+      spec.transport.resolved(0.010, 0.100).min_single_latency();
+  EXPECT_GE(t.horizon, last_reap);
+  EXPECT_LE(t.horizon, last_reap + lookahead);
 }
 
 TEST(SessionFleet, ArenaRecyclesSlots) {
