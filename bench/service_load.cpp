@@ -59,6 +59,7 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/options.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/bridge.hpp"
 #include "obs/trace.hpp"
 #include "workload/scenario.hpp"
@@ -318,7 +319,8 @@ int main(int argc, char** argv) {
                "worlds ==\n"
             << "# " << specs.size() << " scenario(s), pool of "
             << sweeps.threads() << " thread(s); tallies are bit-identical at "
-               "any thread count.\n\n";
+               "any thread count. sha256: "
+            << crypto::sha256_backend() << ".\n\n";
 
   // One tracer for the whole invocation (null = off). Its sampling streams
   // are keyed on content and forked from its own seed, so running with a

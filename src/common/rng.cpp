@@ -87,10 +87,14 @@ constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;  // 2^64 / phi, odd
 }  // namespace
 
 Rng Rng::fork(std::uint64_t stream_id) const {
+  return stream(seed_, stream_id);
+}
+
+Rng Rng::stream(std::uint64_t seed, std::uint64_t stream_id) {
   // mix64 is bijective and stream_id * kGolden is bijective (odd multiplier),
   // so for a fixed seed the child seeds are a permutation of the stream ids:
   // distinct streams get distinct seeds by construction.
-  const std::uint64_t base = mix64(seed_ + kGolden);
+  const std::uint64_t base = mix64(seed + kGolden);
   return Rng(mix64(base ^ (stream_id * kGolden + 0x6a09e667f3bcc909ULL)));
 }
 

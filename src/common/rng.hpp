@@ -71,6 +71,9 @@ class Rng {
   /// bijective per seed: distinct stream ids can never collide.
   Rng fork(std::uint64_t stream_id) const;
 
+  /// Rng(seed).fork(stream_id) without seeding the throwaway parent engine.
+  static Rng stream(std::uint64_t seed, std::uint64_t stream_id);
+
   /// The seed this source was constructed with (the fork(stream_id) base).
   std::uint64_t seed() const { return seed_; }
 

@@ -1,9 +1,7 @@
 #include "crypto/aead.hpp"
 
 #include "common/error.hpp"
-#include "common/serial.hpp"
 #include "crypto/chacha20.hpp"
-#include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
 
 namespace emergence::crypto {
@@ -14,28 +12,45 @@ constexpr std::size_t kTagSize = 32;
 
 struct DerivedKeys {
   std::array<std::uint8_t, 32> enc;
-  Bytes mac;
+  HmacKey mac;
 };
 
+/// HKDF-SHA256(salt = none, ikm = key, info = "emergence/aead/v1" || cipher
+/// id, L = 64): T1 is the encryption key, T2 the MAC key. Spelled out over
+/// HmacKey so the all-zero-salt pads are absorbed once per process and the
+/// PRK's once per call.
 DerivedKeys derive_keys(const SymmetricKey& key) {
-  Bytes info = bytes_of("emergence/aead/v1");
-  info.push_back(kChaCha20CipherId);
-  const Bytes okm = hkdf(/*salt=*/{}, BytesView(key.bytes.data(), 32), info,
-                         /*length=*/64);
-  DerivedKeys out;
-  std::copy(okm.begin(), okm.begin() + 32, out.enc.begin());
-  out.mac.assign(okm.begin() + 32, okm.end());
-  return out;
+  static const HmacKey zero_salt(std::array<std::uint8_t, 32>{});
+  static constexpr std::array<std::uint8_t, 18> info = {
+      'e', 'm', 'e', 'r', 'g', 'e', 'n', 'c', 'e',
+      '/', 'a', 'e', 'a', 'd', '/', 'v', '1', kChaCha20CipherId};
+
+  const HmacKey prk(zero_salt.mac(key.bytes));
+  Sha256 h = prk.begin();
+  h.update(info);
+  const std::uint8_t one = 1, two = 2;
+  h.update(BytesView(&one, 1));
+  const HmacKey::Tag t1 = prk.finish(h);
+
+  h = prk.begin();
+  h.update(t1);
+  h.update(info);
+  h.update(BytesView(&two, 1));
+  return DerivedKeys{t1, HmacKey(prk.finish(h))};
 }
 
-Bytes compute_tag(BytesView mac_key, BytesView nonce, BytesView aad,
-                  BytesView body) {
-  BinaryWriter w;
-  w.raw(nonce);
-  w.u64(aad.size());
-  w.raw(aad);
-  w.raw(body);
-  return hmac_sha256(mac_key, w.bytes());
+/// HMAC(mac_key, nonce || u64le(aad_len) || aad || body), streamed.
+HmacKey::Tag compute_tag(const HmacKey& mac_key, BytesView nonce,
+                         BytesView aad, BytesView body) {
+  std::array<std::uint8_t, 8> aad_len;
+  for (std::size_t i = 0; i < 8; ++i)
+    aad_len[i] = static_cast<std::uint8_t>(aad.size() >> (8 * i));
+  Sha256 h = mac_key.begin();
+  h.update(nonce);
+  h.update(aad_len);
+  h.update(aad);
+  h.update(body);
+  return mac_key.finish(h);
 }
 
 void apply_stream(const std::array<std::uint8_t, 32>& enc_key, BytesView nonce,
@@ -62,7 +77,7 @@ Bytes aead_seal(const SymmetricKey& key, BytesView nonce12, BytesView plaintext,
   Bytes body(plaintext.begin(), plaintext.end());
   apply_stream(keys.enc, nonce12, body);
 
-  const Bytes tag = compute_tag(keys.mac, nonce12, aad, body);
+  const HmacKey::Tag tag = compute_tag(keys.mac, nonce12, aad, body);
 
   Bytes out;
   out.reserve(kNonceSize + body.size() + kTagSize);
@@ -82,7 +97,7 @@ Bytes aead_open(const SymmetricKey& key, BytesView sealed, BytesView aad) {
       sealed.subspan(kNonceSize, sealed.size() - kNonceSize - kTagSize);
   const BytesView tag = sealed.subspan(sealed.size() - kTagSize);
 
-  const Bytes expected = compute_tag(keys.mac, nonce, aad, body);
+  const HmacKey::Tag expected = compute_tag(keys.mac, nonce, aad, body);
   if (!constant_time_equal(expected, tag))
     throw CryptoError("aead_open: authentication failed");
 

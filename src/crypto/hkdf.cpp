@@ -17,15 +17,17 @@ Bytes hkdf_extract(BytesView salt, BytesView ikm) {
 Bytes hkdf_expand(BytesView prk, BytesView info, std::size_t length) {
   constexpr std::size_t kHash = Sha256::kDigestSize;
   require(length <= 255 * kHash, "hkdf_expand: length too large");
+  const HmacKey key(prk);
   Bytes okm;
   okm.reserve(length);
-  Bytes t;
-  std::uint8_t counter = 1;
-  while (okm.size() < length) {
-    Bytes block = t;
-    append(block, info);
-    block.push_back(counter++);
-    t = hmac_sha256(prk, block);
+  HmacKey::Tag t{};
+  for (std::uint8_t counter = 1; okm.size() < length; ++counter) {
+    // T(i) = HMAC(PRK, T(i-1) || info || i), with T(0) empty.
+    Sha256 h = key.begin();
+    if (counter > 1) h.update(t);
+    h.update(info);
+    h.update(BytesView(&counter, 1));
+    t = key.finish(h);
     const std::size_t take = std::min(kHash, length - okm.size());
     okm.insert(okm.end(), t.begin(), t.begin() + static_cast<long>(take));
   }

@@ -1,32 +1,43 @@
 #include "crypto/hmac.hpp"
 
-#include "crypto/sha256.hpp"
-
 namespace emergence::crypto {
 
-Bytes hmac_sha256(BytesView key, BytesView data) {
+HmacKey::HmacKey(BytesView key) {
   constexpr std::size_t kBlock = Sha256::kBlockSize;
 
-  Bytes k(key.begin(), key.end());
-  if (k.size() > kBlock) k = sha256(k);
-  k.resize(kBlock, 0x00);
-
-  Bytes ipad(kBlock), opad(kBlock);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+  std::array<std::uint8_t, kBlock> k{};
+  if (key.size() > kBlock) {
+    Sha256 h;
+    h.update(key);
+    const auto digest = h.finalize();
+    std::copy(digest.begin(), digest.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
   }
 
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(data);
-  const auto inner_digest = inner.finalize();
+  std::array<std::uint8_t, kBlock> pad;
+  for (std::size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x36;
+  inner_.update(pad);
+  for (std::size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x5c;
+  outer_.update(pad);
+}
 
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(BytesView(inner_digest.data(), inner_digest.size()));
-  const auto digest = outer.finalize();
-  return Bytes(digest.begin(), digest.end());
+HmacKey::Tag HmacKey::finish(Sha256& inner) const {
+  const auto inner_digest = inner.finalize();
+  Sha256 outer = outer_;
+  outer.update(inner_digest);
+  return outer.finalize();
+}
+
+HmacKey::Tag HmacKey::mac(BytesView data) const {
+  Sha256 inner = begin();
+  inner.update(data);
+  return finish(inner);
+}
+
+Bytes hmac_sha256(BytesView key, BytesView data) {
+  const HmacKey::Tag tag = HmacKey(key).mac(data);
+  return Bytes(tag.begin(), tag.end());
 }
 
 }  // namespace emergence::crypto

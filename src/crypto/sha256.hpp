@@ -2,6 +2,11 @@
 //
 // Used for node identifiers, HMAC, HKDF and the ChaCha20 DRBG seeding. The
 // streaming interface supports incremental hashing of large payloads.
+//
+// The compression function has two implementations with identical output:
+// the portable one from the specification and an x86 SHA-NI kernel. The
+// kernel is chosen once at runtime from cpuid; CPUs without the SHA
+// extensions (and non-x86 builds) always run the portable path.
 #pragma once
 
 #include <array>
@@ -11,7 +16,9 @@
 
 namespace emergence::crypto {
 
-/// Streaming SHA-256 hasher.
+/// Streaming SHA-256 hasher. Copyable: a copy taken after absorbing a
+/// prefix is a midstate that can be resumed any number of times (HmacKey
+/// keeps its two padded keys this way).
 class Sha256 {
  public:
   static constexpr std::size_t kDigestSize = 32;
@@ -27,7 +34,8 @@ class Sha256 {
   std::array<std::uint8_t, kDigestSize> finalize();
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compresses `n` consecutive 64-byte blocks into the state.
+  void process_blocks(const std::uint8_t* data, std::size_t n);
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
@@ -38,5 +46,8 @@ class Sha256 {
 
 /// One-shot SHA-256.
 Bytes sha256(BytesView data);
+
+/// The compression path this process runs: "sha-ni" or "portable".
+const char* sha256_backend();
 
 }  // namespace emergence::crypto

@@ -205,18 +205,23 @@ NodeHandle ChordNode::closest_preceding_node(const NodeId& key) const {
   // The run-compressed table visits each distinct finger once (highest
   // power first), which is exactly what the dense per-power scan reduced
   // to: whether a finger qualifies does not depend on the power.
+  // The interval test runs on 64-bit id prefixes, exact by construction.
   const NodeId& self = id();
+  const std::uint64_t self_prefix = self.prefix64();
+  const std::uint64_t key_prefix = key.prefix64();
+  const auto precedes_key = [&](NodeHandle h) {
+    return in_open_interval_by_prefix(slots_.ids[h], self, self_prefix, key,
+                                      key_prefix);
+  };
   const std::vector<FingerTable::Run>& runs = fingers_.runs();
   for (std::size_t i = runs.size(); i-- > 0;) {
     const NodeHandle f = runs[i].node;
-    if (in_open_interval(slots_.ids[f], self, key) && slots_.live[f] != 0)
-      return f;
+    if (precedes_key(f) && slots_.live[f] != 0) return f;
   }
   // Successor list can still make progress when fingers are stale.
   for (std::size_t i = successors_.size(); i-- > 0;) {
     const NodeHandle s = successors_[i];
-    if (in_open_interval(slots_.ids[s], self, key) && slots_.live[s] != 0)
-      return s;
+    if (precedes_key(s) && slots_.live[s] != 0) return s;
   }
   return handle_;
 }

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -36,6 +38,16 @@ class NodeId {
   static NodeId from_hex(std::string_view hex);
 
   const std::array<std::uint8_t, kIdBytes>& bytes() const { return bytes_; }
+
+  /// The first 8 bytes read big-endian. Distinct prefixes order exactly as
+  /// the full ids do.
+  std::uint64_t prefix64() const {
+    std::uint64_t v;
+    std::memcpy(&v, bytes_.data(), sizeof(v));
+    if constexpr (std::endian::native == std::endian::little)
+      v = __builtin_bswap64(v);
+    return v;
+  }
   std::string to_hex() const;
   /// First 8 hex chars; convenient for logs.
   std::string short_hex() const;
@@ -59,6 +71,19 @@ class NodeId {
 /// True when x lies in the open interval (a, b) on the ring. Empty when
 /// a == b (full-circle semantics are handled by callers that need them).
 bool in_open_interval(const NodeId& x, const NodeId& a, const NodeId& b);
+
+/// in_open_interval(x, a, b) given pa = a.prefix64() and pb = b.prefix64().
+/// When the prefixes of x, a and b are pairwise distinct their order is the
+/// ids' order, so the test is decided on three words; otherwise it falls
+/// back to the full 160-bit compare. Always equal to in_open_interval.
+inline bool in_open_interval_by_prefix(const NodeId& x, const NodeId& a,
+                                       std::uint64_t pa, const NodeId& b,
+                                       std::uint64_t pb) {
+  const std::uint64_t px = x.prefix64();
+  if (px == pa || px == pb || pa == pb) return in_open_interval(x, a, b);
+  if (pa < pb) return pa < px && px < pb;
+  return px > pa || px < pb;
+}
 
 /// True when x lies in the half-open interval (a, b] on the ring; this is
 /// the successor-responsibility test of Chord.

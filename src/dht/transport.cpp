@@ -343,14 +343,10 @@ double TransportModel::reap_slack(std::size_t path_length) const {
 }
 
 std::size_t TransportModel::compute_zone(const NodeId& id) const {
-  // Stream id: the id's first 8 bytes (big-endian). fork() is a pure
+  // Stream id: the id's first 8 bytes (big-endian). Rng::stream is a pure
   // function of (zone_seed, stream), so the assignment is identical across
   // worlds, threads and reruns.
-  std::uint64_t stream = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    stream = (stream << 8) | id.bytes()[i];
-  }
-  return Rng(zone_seed).fork(stream).index(zone_count);
+  return Rng::stream(zone_seed, id.prefix64()).index(zone_count);
 }
 
 std::size_t TransportModel::zone_of(const NodeId& id) const {
@@ -401,20 +397,6 @@ double TransportModel::sample_latency(Rng& rng, bool cross) const {
   return max_latency;
 }
 
-namespace {
-
-/// The id's first 8 bytes, big-endian — the same prefix compute_zone keys
-/// its fork on. Feeds the hop-span sampling key.
-std::uint64_t id_prefix(const NodeId& id) {
-  std::uint64_t prefix = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    prefix = (prefix << 8) | id.bytes()[i];
-  }
-  return prefix;
-}
-
-}  // namespace
-
 void TransportModel::send(sim::Simulator& sim, Rng& rng, TransportStats& stats,
                           const NodeId& from, const NodeId& to,
                           std::function<void()> deliver,
@@ -429,7 +411,7 @@ void TransportModel::send(sim::Simulator& sim, Rng& rng, TransportStats& stats,
   // closure.
   std::string link;
   if (trace != nullptr &&
-      trace->sample(obs::hop_sample_key(id_prefix(from), id_prefix(to),
+      trace->sample(obs::hop_sample_key(from.prefix64(), to.prefix64(),
                                         sim.now()))) {
     link = from.to_hex().substr(0, 8) + ">" + to.to_hex().substr(0, 8);
   } else {

@@ -121,6 +121,45 @@ TEST(NodeId, HalfOpenIntervalFullRing) {
   EXPECT_TRUE(in_half_open_interval(a, a, a));
 }
 
+TEST(NodeId, Prefix64ReadsTheFirstEightBytesBigEndian) {
+  Bytes raw(kIdBytes, 0xee);
+  for (std::size_t i = 0; i < 8; ++i) raw[i] = static_cast<std::uint8_t>(i + 1);
+  EXPECT_EQ(NodeId::from_bytes(raw).prefix64(), 0x0102030405060708ULL);
+}
+
+TEST(NodeId, PrefixIntervalRuleAgreesWithFullCompare) {
+  // Random ids almost always have distinct prefixes; the crafted ones share
+  // their first 8 bytes with a, with b, or with both, so the full-id
+  // fallback and every boundary (x == a, x == b, a == b) are exercised too.
+  Rng rng(2024);
+  const auto random_id = [&] { return NodeId::from_bytes(rng.bytes(kIdBytes)); };
+  const auto sharing_prefix = [&](const NodeId& with) {
+    Bytes raw = rng.bytes(kIdBytes);
+    std::copy(with.bytes().begin(), with.bytes().begin() + 8, raw.begin());
+    return NodeId::from_bytes(raw);
+  };
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const NodeId a = random_id();
+    const NodeId b = trial % 4 == 0 ? sharing_prefix(a) : random_id();
+    const NodeId candidates[] = {random_id(),       sharing_prefix(a),
+                                 sharing_prefix(b), sharing_prefix(a),
+                                 a,                 b};
+    for (const NodeId& x : candidates) {
+      for (const auto& [lo, hi] : {std::pair{a, b}, std::pair{b, a},
+                                   std::pair{a, a}}) {
+        EXPECT_EQ(in_open_interval_by_prefix(x, lo, lo.prefix64(), hi,
+                                             hi.prefix64()),
+                  in_open_interval(x, lo, hi))
+            << x.to_hex() << " in (" << lo.to_hex() << ", " << hi.to_hex()
+            << ")";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4000u * 6 * 3);
+}
+
 // -- network fixtures --------------------------------------------------------------
 
 struct TestNet {
