@@ -39,8 +39,10 @@
 #include "dht/kademlia.hpp"
 #include "emerge/experiment/table.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "emerge/types.hpp"
 #include "sim/simulator.hpp"
+#include "workload/scenario.hpp"
 
 namespace {
 
@@ -89,11 +91,15 @@ PerfResult run_scenario(const PerfScenario& s) {
   std::unique_ptr<dht::KademliaNetwork> kademlia;
   dht::Network* net = nullptr;
   dht::LookupStats* stats = nullptr;
+  // The service cadence of every fleet world (ScenarioSpec's default).
+  const double repair_interval = workload::ScenarioSpec{}.repair_interval;
   if (s.backend == DhtBackend::kChord) {
+    const workload::ChordCadence cadence =
+        workload::chord_cadence(repair_interval);
     dht::NetworkConfig cfg;
     cfg.run_maintenance = true;
-    cfg.stabilize_interval = 60.0;
-    cfg.replica_repair_interval = 240.0;
+    cfg.stabilize_interval = cadence.stabilize_interval;
+    cfg.replica_repair_interval = cadence.replica_repair_interval;
     cfg.exact_join_fingers = false;  // O(log n) joins; fix_fingers converges
     chord = std::make_unique<dht::ChordNetwork>(sim, rng, cfg);
     chord->bootstrap(s.population);
@@ -102,7 +108,7 @@ PerfResult run_scenario(const PerfScenario& s) {
   } else {
     dht::KademliaConfig cfg;
     cfg.run_maintenance = true;
-    cfg.republish_interval = 240.0;
+    cfg.republish_interval = repair_interval;
     kademlia = std::make_unique<dht::KademliaNetwork>(sim, rng, cfg);
     kademlia->bootstrap(s.population);
     net = kademlia.get();
@@ -138,6 +144,7 @@ PerfResult run_scenario(const PerfScenario& s) {
   // -- phase 4: live phase (maintenance + churn + sessions through tr) ---------
   const emergence::bench::WallTimer t_live;
   cloud::CloudStore cloud;
+  core::SessionDispatcher dispatcher(*net);
   std::vector<std::unique_ptr<core::TimedReleaseSession>> sessions;
   core::SessionConfig config;
   config.kind = core::SchemeKind::kJoint;
@@ -145,7 +152,10 @@ PerfResult run_scenario(const PerfScenario& s) {
   config.emerging_time = s.horizon;
   for (std::size_t i = 0; i < s.sessions; ++i) {
     sessions.push_back(std::make_unique<core::TimedReleaseSession>(
-        *net, cloud, nullptr, config, 0xF00D + i));
+        core::SessionArgs{.dispatcher = dispatcher,
+                          .cloud = cloud,
+                          .config = config,
+                          .seed = 0xF00D + i}));
     sessions[i]->send(bytes_of("perf-suite-payload"),
                       "receiver-" + std::to_string(i));
   }

@@ -18,6 +18,7 @@
 #include "dht/chord_network.hpp"
 #include "emerge/planner.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -38,6 +39,7 @@ ExamRun run_exam(core::PathShape shape, double malicious_fraction,
   net_config.run_maintenance = false;
   dht::ChordNetwork network(simulator, rng, net_config);
   network.bootstrap(200);
+  core::SessionDispatcher dispatcher(network);
   cloud::CloudStore cloud;
 
   // The student coalition: a random subset of the DHT is malicious.
@@ -54,7 +56,8 @@ ExamRun run_exam(core::PathShape shape, double malicious_fraction,
   config.shape = shape;
   config.emerging_time = 7200.0;  // exam starts in two hours
 
-  core::TimedReleaseSession session(network, cloud, &adversary, config, seed);
+  core::TimedReleaseSession session(
+      core::SessionArgs{dispatcher, cloud, &adversary, config, seed});
   session.send(bytes_of("Q1: Prove Lemma 1 of Li & Palanisamy (ICDCS'17)."),
                "proctor-token");
   session.refresh_adversary_exposure();

@@ -15,6 +15,7 @@
 #include "cloud/cloud_store.hpp"
 #include "dht/chord_network.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -27,6 +28,7 @@ int main() {
   net_config.run_maintenance = false;  // keep the walkthrough deterministic
   dht::ChordNetwork network(simulator, rng, net_config);
   network.bootstrap(128);
+  core::SessionDispatcher dispatcher(network);  // routes events to sessions
   cloud::CloudStore cloud;
 
   std::cout << "DHT up: " << network.alive_count() << " nodes\n";
@@ -37,8 +39,8 @@ int main() {
   config.shape = core::PathShape{2, 3};
   config.emerging_time = 3600.0;
 
-  core::TimedReleaseSession session(network, cloud, /*adversary=*/nullptr,
-                                    config, /*seed=*/42);
+  core::TimedReleaseSession session(core::SessionArgs{
+      .dispatcher = dispatcher, .cloud = cloud, .config = config, .seed = 42});
   const std::string message =
       "Dear Bob -- this message was sealed at ts and could not be read "
       "before tr. -- Alice";

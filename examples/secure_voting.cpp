@@ -16,6 +16,7 @@
 #include "cloud/cloud_store.hpp"
 #include "dht/chord_network.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -30,6 +31,7 @@ bool run_election(core::SchemeKind kind, double malicious_fraction,
   net_config.run_maintenance = false;
   dht::ChordNetwork network(simulator, rng, net_config);
   network.bootstrap(300);
+  core::SessionDispatcher dispatcher(network);
   cloud::CloudStore cloud;
 
   core::SessionConfig config;
@@ -44,7 +46,8 @@ bool run_election(core::SchemeKind kind, double malicious_fraction,
     if (coalition_rng.chance(malicious_fraction)) adversary.mark_malicious(id);
   }
 
-  core::TimedReleaseSession session(network, cloud, &adversary, config, seed);
+  core::TimedReleaseSession session(
+      core::SessionArgs{dispatcher, cloud, &adversary, config, seed});
 
   // The "ballot box": votes encrypted under the self-emerging key.
   const std::string ballots = "alice:A;bob:B;carol:A;dave:A;erin:B";

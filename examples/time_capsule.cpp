@@ -19,6 +19,7 @@
 #include "dht/chord_network.hpp"
 #include "dht/churn_driver.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -44,6 +45,7 @@ CapsuleOutcome bury_capsules(core::SchemeKind kind, int trials) {
     net_config.run_maintenance = true;
     dht::ChordNetwork network(simulator, rng, net_config);
     network.bootstrap(300);
+    core::SessionDispatcher dispatcher(network);
     cloud::CloudStore cloud;
 
     dht::ChurnConfig churn_config;
@@ -65,8 +67,11 @@ CapsuleOutcome bury_capsules(core::SchemeKind kind, int trials) {
       config.shape = core::PathShape{3, 5};
     }
 
-    core::TimedReleaseSession session(network, cloud, nullptr, config,
-                                      static_cast<std::uint64_t>(trial));
+    core::TimedReleaseSession session(core::SessionArgs{
+        .dispatcher = dispatcher,
+        .cloud = cloud,
+        .config = config,
+        .seed = static_cast<std::uint64_t>(trial)});
     session.send(bytes_of("to be opened in five months"), "heir-token");
     churn.start();
     simulator.run_until(session.release_time() + 10.0);

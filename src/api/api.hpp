@@ -9,15 +9,11 @@
 //                    actual delivery time, and the released secret.
 //
 // Client is the abstract sender/receiver endpoint. LocalClient binds it to
-// an in-process TimedReleaseSession over the simulated DHT (deterministic,
-// virtual time); service::WireClient binds the *same* interface to the
+// in-process TimedReleaseSessions over the simulated DHT (deterministic,
+// virtual time), built from core::SessionArgs on the world's one
+// SessionDispatcher; service::WireClient binds the *same* interface to the
 // `emerged` daemon's UDP wire (wall-clock time). Code written against
 // Client — tests, benches, the submit tool — runs unchanged on either.
-//
-// SessionHandle is the construction surface for the in-process engine: a
-// named-field Builder over core::SessionArgs that replaces the positional
-// TimedReleaseSession constructor sprawl at new call sites (the positional
-// constructor survives as a thin delegating overload for old ones).
 #pragma once
 
 #include <map>
@@ -27,10 +23,6 @@
 
 #include "cloud/cloud_store.hpp"
 #include "emerge/protocol.hpp"
-
-namespace emergence::core {
-class SessionDispatcher;
-}
 
 namespace emergence::api {
 
@@ -93,58 +85,14 @@ class Client {
   virtual std::optional<EmergeEvent> poll(std::uint64_t session_nonce) = 0;
 };
 
-/// An owned in-process session, built by Builder. Move-only; the handle
-/// must outlive the simulation run that drives it (same ownership rule as
-/// the raw session).
-class SessionHandle {
- public:
-  class Builder {
-   public:
-    Builder& network(dht::Network& network);
-    Builder& cloud(cloud::CloudStore& cloud);
-    Builder& adversary(core::Adversary* adversary);
-    Builder& dispatcher(core::SessionDispatcher* dispatcher);
-    Builder& config(const core::SessionConfig& config);
-    Builder& scheme(core::SchemeKind kind);
-    Builder& shape(core::PathShape shape);
-    Builder& carriers(std::size_t n);
-    Builder& threshold(std::size_t m);
-    Builder& emerging_time(double seconds);
-    Builder& assembly_delay(double seconds);
-    Builder& seed(std::uint64_t seed);
-
-    /// Constructs the session; throws PreconditionError if network/cloud
-    /// were never set or the configuration is invalid.
-    SessionHandle build();
-
-   private:
-    core::SessionArgs args_;
-  };
-
-  core::TimedReleaseSession& session() { return *session_; }
-  const core::TimedReleaseSession& session() const { return *session_; }
-  core::TimedReleaseSession* operator->() { return session_.get(); }
-  const core::TimedReleaseSession* operator->() const {
-    return session_.get();
-  }
-
- private:
-  explicit SessionHandle(std::unique_ptr<core::TimedReleaseSession> session)
-      : session_(std::move(session)) {}
-
-  std::unique_ptr<core::TimedReleaseSession> session_;
-};
-
 /// Client bound to the in-process engine: every submit() builds a
-/// TimedReleaseSession on the given world and launches it at the current
-/// virtual time. The caller advances the simulator; poll() surfaces the
-/// EmergeEvent once the session's terminal holders have delivered.
+/// TimedReleaseSession on the dispatcher's network and launches it at the
+/// current virtual time. The caller advances the simulator; poll() surfaces
+/// the EmergeEvent once the session's terminal holders have delivered.
 class LocalClient final : public Client {
  public:
-  /// `dispatcher` is optional exactly as on the session (null chains the
-  /// network's default handler). All referents must outlive the client.
-  LocalClient(dht::Network& network, cloud::CloudStore& cloud,
-              core::SessionDispatcher* dispatcher = nullptr);
+  /// Both referents must outlive the client.
+  LocalClient(core::SessionDispatcher& dispatcher, cloud::CloudStore& cloud);
 
   SubmitReceipt submit(const SubmitRequest& request) override;
   std::optional<EmergeEvent> poll(std::uint64_t session_nonce) override;
@@ -159,10 +107,10 @@ class LocalClient final : public Client {
   core::TimedReleaseSession* find(std::uint64_t session_nonce);
 
  private:
-  dht::Network& network_;
+  core::SessionDispatcher& dispatcher_;
   cloud::CloudStore& cloud_;
-  core::SessionDispatcher* dispatcher_;
-  std::map<std::uint64_t, SessionHandle> sessions_;
+  std::map<std::uint64_t, std::unique_ptr<core::TimedReleaseSession>>
+      sessions_;
 };
 
 }  // namespace emergence::api

@@ -196,6 +196,9 @@ void Sha256::process_blocks(const std::uint8_t* data, std::size_t n) {
 
 void Sha256::update(BytesView data) {
   require(!finalized_, "Sha256::update after finalize");
+  // An empty view may carry a null data(); memcpy from it is UB even for
+  // zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

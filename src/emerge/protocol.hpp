@@ -11,11 +11,13 @@
 //     |                               | tr: terminal holders ------> | secret
 //     |                               |                              | decrypt
 //
-// Holder behavior runs as message handlers + simulator events; malicious
+// Holder behavior runs as simulator events reached through the world's
+// SessionDispatcher (session_dispatcher.hpp) — packages and store
+// observations by nonce and storage key, the session's own timers by nonce
+// — so a session may be destroyed at any time without leaving anything
+// that points at it (docs/architecture.md, "Ownership rule"). Malicious
 // holders report to the Adversary and, in dropping mode, break the chain.
-// The session instance must outlive the simulation run that drives it
-// (see docs/architecture.md, "Ownership rule"). Protocol phases: PAPER.md
-// §III; scheme taxonomy: PAPER.md §III-A..D.
+// Protocol phases: PAPER.md §III; scheme taxonomy: PAPER.md §III-A..D.
 #pragma once
 
 #include <map>
@@ -77,43 +79,22 @@ struct SessionReport {
   std::uint64_t deliveries = 0;  ///< terminal deliveries to the receiver
 };
 
-/// Everything a TimedReleaseSession needs, as one named-field aggregate.
-/// The api::SessionHandle builder fills one of these; the historical
-/// positional constructor packs its arguments into one and delegates, so
-/// both construction surfaces share a single initialization path.
+/// Everything a TimedReleaseSession needs, as one named-field aggregate:
+/// the only way to build a session. The session runs on the dispatcher's
+/// network; both referents must outlive it.
 struct SessionArgs {
-  dht::Network* network = nullptr;      ///< required
-  cloud::CloudStore* cloud = nullptr;   ///< required
-  Adversary* adversary = nullptr;       ///< nullptr = no attack
+  SessionDispatcher& dispatcher;
+  cloud::CloudStore& cloud;
+  Adversary* adversary = nullptr;  ///< nullptr = no attack
   SessionConfig config;
   std::uint64_t seed = 0;
-  SessionDispatcher* dispatcher = nullptr;  ///< see ctor docs below
 };
 
 /// One self-emerging message through the DHT.
 class TimedReleaseSession {
  public:
-  /// Primary constructor. `args.network` and `args.cloud` are required
-  /// (PreconditionError otherwise); everything else has usable defaults.
+  /// Throws PreconditionError on an invalid configuration.
   explicit TimedReleaseSession(const SessionArgs& args);
-
-  /// `adversary` may be nullptr (no attack). The session registers message
-  /// handlers on holder nodes; it must outlive the simulation.
-  ///
-  /// `dispatcher` selects how network events reach the session. Null (the
-  /// historical behavior) chains the network's default handler and store
-  /// observer — fine for a bounded number of sessions per world. A
-  /// dispatcher routes by nonce / storage key in O(1) and supports
-  /// retire() + destruction of finished sessions, which is what lets a
-  /// fleet recycle session slots against one long-lived world
-  /// (session_dispatcher.hpp). The dispatcher must outlive the session.
-  ///
-  /// Delegates to the SessionArgs constructor; kept because positional
-  /// call sites predate the aggregate and remain perfectly readable.
-  TimedReleaseSession(dht::Network& network, cloud::CloudStore& cloud,
-                      Adversary* adversary, SessionConfig config,
-                      std::uint64_t seed,
-                      SessionDispatcher* dispatcher = nullptr);
   ~TimedReleaseSession();
 
   TimedReleaseSession(const TimedReleaseSession&) = delete;
@@ -122,9 +103,10 @@ class TimedReleaseSession {
   /// Ends the session's tenancy on the network: erases its pre-assigned
   /// layer keys from DHT storage (so long-lived worlds don't accumulate
   /// dead keys into replica-maintenance scans) and deregisters from the
-  /// dispatcher (late packages become counted strays). Call once the
-  /// session is past tr and its events have drained; the fleet does this
-  /// before recycling the slot. Idempotent.
+  /// dispatcher (late packages become counted strays, pending timers
+  /// no-ops). Call once the session is past tr; the fleet does this before
+  /// recycling the slot. Destruction deregisters the same way, minus the
+  /// erase traffic. Idempotent.
   void retire();
 
   /// Encrypts and uploads `message`, builds paths/onions and launches the
@@ -201,8 +183,11 @@ class TimedReleaseSession {
   crypto::SymmetricKey layer_key(const LayerKeyId& id) const;
 
   void assign_keys_at_start();
-  void launch_column1_packages();
-  void register_holder_handlers();
+  /// Schedules `action` on this session at `at`, routed by nonce through
+  /// the dispatcher: the event is a no-op once the session is retired or
+  /// destroyed.
+  template <typename Action>
+  void schedule_at(sim::Time at, Action action);
   /// Dispatcher entry points: a package addressed to this session's nonce,
   /// and a store observation for one of its registered storage keys.
   void handle_package_message(const dht::NodeId& to, BytesView payload);
@@ -216,11 +201,11 @@ class TimedReleaseSession {
                     const EnvelopeContent& content, const Bytes& inner);
   void deliver_to_receiver(std::uint16_t holder_index, const Bytes& secret);
 
+  SessionDispatcher& dispatcher_;
   dht::Network& network_;
   cloud::CloudStore& cloud_;
   Adversary* adversary_;
   SessionConfig config_;
-  SessionDispatcher* dispatcher_;
   bool retired_ = false;
   crypto::Drbg drbg_;
 
@@ -234,9 +219,6 @@ class TimedReleaseSession {
 
   Bytes secret_key_;  ///< the message key routed through the DHT
   std::uint64_t session_nonce_ = 0;  ///< distinguishes concurrent sessions
-  /// The default handler registered before this session took over; foreign
-  /// or undecodable packages chain to it.
-  dht::MessageHandler chained_handler_;
   cloud::BlobId blob_id_;
   double start_time_ = 0.0;
   bool sent_ = false;

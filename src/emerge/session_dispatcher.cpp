@@ -7,40 +7,34 @@ namespace emergence::core {
 
 SessionDispatcher::SessionDispatcher(dht::Network& network)
     : network_(network) {
-  const dht::MessageHandler previous = network.default_message_handler();
+  require(network.default_message_handler() == nullptr,
+          "SessionDispatcher: network already has a default handler");
+  require(network.store_observer() == nullptr,
+          "SessionDispatcher: network already has a store observer");
   network.set_default_message_handler(
-      [this, previous](const dht::NodeId& from, const dht::NodeId& to,
-                       BytesView payload) {
+      [this](const dht::NodeId&, const dht::NodeId& to, BytesView payload) {
         const std::optional<std::uint64_t> nonce = peek_session_nonce(payload);
-        if (nonce.has_value()) {
-          auto it = by_nonce_.find(*nonce);
-          if (it != by_nonce_.end()) {
-            it->second->handle_package_message(to, payload);
-            return;
-          }
-          // Unknown nonce. With a pre-dispatcher handler installed, the
-          // payload may be that handler's own traffic whose wire format
-          // merely starts like a package — chain it (matching the
-          // chained-session path, which forwards what it cannot claim).
-          // With no previous handler (the fleet configuration), this is a
-          // late package for a retired session: drop and count it.
-          if (previous == nullptr) {
-            ++stray_packages_;
-            return;
-          }
+        if (!nonce.has_value()) {
+          ++malformed_packages_;
+          return;
         }
-        if (previous) previous(from, to, payload);
+        if (TimedReleaseSession* session = find(*nonce)) {
+          session->handle_package_message(to, payload);
+        } else {
+          ++stray_packages_;
+        }
       });
+  network.set_store_observer([this](const dht::NodeId& node,
+                                    const dht::NodeId& key, BytesView value) {
+    auto it = by_storage_key_.find(key);
+    if (it != by_storage_key_.end())
+      it->second->observe_store(node, key, value);
+  });
+}
 
-  const dht::StoreObserver chained = network.store_observer();
-  network.set_store_observer(
-      [this, chained](const dht::NodeId& node, const dht::NodeId& key,
-                      BytesView value) {
-        if (chained) chained(node, key, value);
-        auto it = by_storage_key_.find(key);
-        if (it != by_storage_key_.end())
-          it->second->observe_store(node, key, value);
-      });
+TimedReleaseSession* SessionDispatcher::find(std::uint64_t nonce) const {
+  auto it = by_nonce_.find(nonce);
+  return it == by_nonce_.end() ? nullptr : it->second;
 }
 
 void SessionDispatcher::register_session(std::uint64_t nonce,

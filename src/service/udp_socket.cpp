@@ -98,9 +98,26 @@ void UdpSocket::send_to(const Endpoint& to, BytesView datagram) {
   sockaddr_in addr = to_sockaddr(to);
   // Fire-and-forget, like the wire: a full socket buffer or a transient
   // errno loses the datagram exactly as the network could; retries live at
-  // the request layer, not here.
-  (void)::sendto(fd_, datagram.data(), datagram.size(), 0,
-                 reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  // the request layer, not here. The loss is counted by errno class.
+  if (::sendto(fd_, datagram.data(), datagram.size(), 0,
+               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) >= 0)
+    return;
+  switch (errno) {
+    case EAGAIN:
+#if EWOULDBLOCK != EAGAIN
+    case EWOULDBLOCK:
+#endif
+      ++send_errors_.would_block;
+      break;
+    case ENOBUFS:
+      ++send_errors_.no_buffers;
+      break;
+    case EMSGSIZE:
+      ++send_errors_.too_large;
+      break;
+    default:
+      ++send_errors_.other;
+  }
 }
 
 void UdpSocket::on_receive(Handler handler) { handler_ = std::move(handler); }

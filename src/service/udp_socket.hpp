@@ -6,7 +6,10 @@
 // threaded event discipline the simulator enforces.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 
 #include "service/datagram.hpp"
 
@@ -17,6 +20,24 @@ namespace emergence::service {
 /// daemon/tool flags accept an endpoint. Throws PreconditionError when the
 /// host does not resolve.
 Endpoint resolve_endpoint(const std::string& text);
+
+/// sendto(2) failures by errno class. Sends stay fire-and-forget — a failed
+/// send loses the datagram exactly as the network could — but each loss is
+/// counted, so a daemon that drops frames at its own socket shows it.
+struct UdpSendErrors {
+  std::uint64_t would_block = 0;  ///< EAGAIN / EWOULDBLOCK: send buffer full
+  std::uint64_t no_buffers = 0;   ///< ENOBUFS
+  std::uint64_t too_large = 0;    ///< EMSGSIZE
+  std::uint64_t other = 0;
+
+  /// (errno label, count) in a fixed order, for status lines and metrics.
+  std::array<std::pair<const char*, std::uint64_t>, 4> by_class() const {
+    return {{{"eagain", would_block},
+             {"enobufs", no_buffers},
+             {"emsgsize", too_large},
+             {"other", other}}};
+  }
+};
 
 class UdpSocket final : public DatagramSocket {
  public:
@@ -39,11 +60,13 @@ class UdpSocket final : public DatagramSocket {
   std::size_t poll(double max_wait_seconds);
 
   int fd() const { return fd_; }
+  const UdpSendErrors& send_errors() const { return send_errors_; }
 
  private:
   int fd_ = -1;
   Endpoint local_;
   Handler handler_;
+  UdpSendErrors send_errors_;
 };
 
 }  // namespace emergence::service

@@ -89,6 +89,10 @@ void ScenarioSpec::validate() const {
   (void)lifetime.build(churn ? mean_lifetime() : emerging_time);
 }
 
+ChordCadence chord_cadence(double repair_interval) {
+  return ChordCadence{std::min(60.0, repair_interval / 2.0), repair_interval};
+}
+
 namespace {
 
 ScenarioSpec base_scenario(std::string name, std::string summary) {

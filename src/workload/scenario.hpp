@@ -76,7 +76,8 @@ struct ScenarioSpec {
 
   // -- maintenance -------------------------------------------------------------
   /// Chord replica repair and Kademlia republish interval in virtual
-  /// seconds; Chord stabilize runs every min(60, repair / 2). The default
+  /// seconds; Chord stabilize runs every min(60, repair / 2)
+  /// (chord_cadence). The default
   /// 240 (stabilize 60) is the service cadence: at 100k nodes maintenance
   /// events dominate the wall clock. Cross-validation rows set 30, because
   /// the stat engine models repair as instant and the full stack only
@@ -137,6 +138,16 @@ const std::vector<ScenarioSpec>& scenario_registry();
 /// Registry lookup; throws PreconditionError listing the known names when
 /// `name` is not one of them.
 ScenarioSpec find_scenario(const std::string& name);
+
+/// Chord maintenance cadence for one replica-repair interval (virtual
+/// seconds): stabilize every min(60, repair / 2), repair every `repair`.
+/// The one home of that rule (see ScenarioSpec::repair_interval); fleet
+/// worlds and the perf suite both configure Chord through it.
+struct ChordCadence {
+  double stabilize_interval;
+  double replica_repair_interval;
+};
+ChordCadence chord_cadence(double repair_interval);
 
 /// Resolves "name" or "name:key=value,key=value,...". Override keys:
 ///   population, sessions, worlds, domains, seed, T, alpha, p, rate,

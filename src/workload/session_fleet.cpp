@@ -204,8 +204,9 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
     // 240 s (stabilize 60 s) keeps 100k-node worlds affordable; crossval
     // rows repair every 30 s (stabilize 15 s) to approach the stat
     // engine's instant-repair model.
-    cfg.stabilize_interval = std::min(60.0, s.repair_interval / 2.0);
-    cfg.replica_repair_interval = s.repair_interval;
+    const ChordCadence cadence = chord_cadence(s.repair_interval);
+    cfg.stabilize_interval = cadence.stabilize_interval;
+    cfg.replica_repair_interval = cadence.replica_repair_interval;
     // O(log n) joins: a world sees many churn joins, and periodic
     // fix_fingers converges the copied tables (perf suite model).
     cfg.exact_join_fingers = false;
@@ -456,8 +457,8 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
       if (!domain_traces.empty()) ctx.trace = domain_traces[domain];
       const sim::ExecutionContext::Scope scope(ctx);
       slot.session.emplace(core::SessionArgs{
-          net, &cloud, adversary, config,
-          root.fork(16 + slot.index).seed(), &dispatcher});
+          dispatcher, cloud, adversary, config,
+          root.fork(16 + slot.index).seed()});
       slot.blob =
           slot.session->send(payload, "svc-" + std::to_string(slot.index));
       slot.send_time = sim.now();
@@ -521,6 +522,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   out.events_executed = sim.executed_events() + exec.domain_events_executed();
   out.horizon = sim.now();
   out.stray_packages = dispatcher.stray_packages();
+  out.malformed_packages += dispatcher.malformed_packages();
   out.events_per_domain = exec.events_per_domain();
   // Per-domain shards fold back in ascending domain order (the merges are
   // commutative; the fixed order keeps the reduction canonical).

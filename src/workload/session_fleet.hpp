@@ -75,6 +75,8 @@ struct FleetTally {
   std::uint64_t packages_sent = 0;
   std::uint64_t packages_delivered = 0;
   std::uint64_t packages_dropped_malicious = 0;
+  /// Undecodable payloads: the sessions' own counts plus the dispatcher's
+  /// (payloads that do not start like a package at all).
   std::uint64_t malformed_packages = 0;
   std::uint64_t holders_stuck = 0;
   std::uint64_t key_assignments = 0;

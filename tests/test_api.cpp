@@ -1,6 +1,5 @@
-// The api facade (src/api/api.hpp): SubmitRequest/EmergeEvent codecs, the
-// SessionHandle builder vs the legacy positional constructor, and the
-// LocalClient end-to-end over a simulated world.
+// The api facade (src/api/api.hpp): SubmitRequest/EmergeEvent codecs and
+// the LocalClient end-to-end over a simulated world.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,23 +9,30 @@
 #include "common/error.hpp"
 #include "common/serial.hpp"
 #include "dht/chord_network.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace emergence::api {
 namespace {
 
+std::unique_ptr<dht::ChordNetwork> quiet_chord(sim::Simulator& sim, Rng& rng,
+                                               std::size_t nodes) {
+  dht::NetworkConfig config;
+  config.run_maintenance = false;
+  auto net = std::make_unique<dht::ChordNetwork>(sim, rng, config);
+  net->bootstrap(nodes);
+  return net;
+}
+
 struct World {
   sim::Simulator sim;
   Rng rng{2024};
-  dht::NetworkConfig net_config;
   std::unique_ptr<dht::ChordNetwork> net;
+  core::SessionDispatcher dispatcher;
   cloud::CloudStore cloud;
 
-  explicit World(std::size_t nodes = 64) {
-    net_config.run_maintenance = false;
-    net = std::make_unique<dht::ChordNetwork>(sim, rng, net_config);
-    net->bootstrap(nodes);
-  }
+  explicit World(std::size_t nodes = 64)
+      : net(quiet_chord(sim, rng, nodes)), dispatcher(*net) {}
 };
 
 SubmitRequest sample_request() {
@@ -107,49 +113,9 @@ TEST(ApiCodec, SubmitRequestResolvesToSessionConfig) {
   EXPECT_EQ(config.emerging_time, request.emerging_time);
 }
 
-// The builder and the legacy positional constructor must produce the same
-// session: same nonce stream, same protocol run, same delivery instant.
-TEST(SessionBuilder, MatchesPositionalConstructorBitForBit) {
-  const Bytes secret = bytes_of("builder-equivalence");
-  core::SessionConfig config;
-  config.kind = core::SchemeKind::kJoint;
-  config.shape = core::PathShape{2, 3};
-  config.emerging_time = 3600.0;
-
-  World positional_world;
-  core::TimedReleaseSession positional(*positional_world.net,
-                                       positional_world.cloud, nullptr,
-                                       config, 7);
-  positional.send(secret, "bob");
-  positional_world.sim.run_until(positional.release_time() + 1.0);
-
-  World builder_world;
-  SessionHandle built = SessionHandle::Builder()
-                            .network(*builder_world.net)
-                            .cloud(builder_world.cloud)
-                            .scheme(core::SchemeKind::kJoint)
-                            .shape(core::PathShape{2, 3})
-                            .emerging_time(3600.0)
-                            .seed(7)
-                            .build();
-  built->send(secret, "bob");
-  builder_world.sim.run_until(built->release_time() + 1.0);
-
-  EXPECT_EQ(built->session_nonce(), positional.session_nonce());
-  EXPECT_EQ(built->release_time(), positional.release_time());
-  ASSERT_TRUE(positional.secret_released());
-  ASSERT_TRUE(built->secret_released());
-  EXPECT_EQ(*built->first_delivery_time(), *positional.first_delivery_time());
-  EXPECT_EQ(*built->receiver_decrypt("bob"), *positional.receiver_decrypt("bob"));
-}
-
-TEST(SessionBuilder, RejectsMissingWorld) {
-  EXPECT_THROW(SessionHandle::Builder().build(), PreconditionError);
-}
-
 TEST(LocalClient, SubmitPollAndDecryptEndToEnd) {
   World world;
-  LocalClient client(*world.net, world.cloud);
+  LocalClient client(world.dispatcher, world.cloud);
 
   SubmitRequest request;
   request.message = bytes_of("meet me at the bridge");

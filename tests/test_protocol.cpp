@@ -18,18 +18,25 @@
 namespace emergence::core {
 namespace {
 
+/// A `nodes`-node Chord ring with maintenance off (deterministic tests).
+std::unique_ptr<dht::ChordNetwork> quiet_chord(sim::Simulator& sim, Rng& rng,
+                                               std::size_t nodes) {
+  dht::NetworkConfig config;
+  config.run_maintenance = false;
+  auto net = std::make_unique<dht::ChordNetwork>(sim, rng, config);
+  net->bootstrap(nodes);
+  return net;
+}
+
 struct World {
   sim::Simulator sim;
   Rng rng{2024};
-  dht::NetworkConfig net_config;
   std::unique_ptr<dht::ChordNetwork> net;
+  SessionDispatcher dispatcher;
   cloud::CloudStore cloud;
 
-  explicit World(std::size_t nodes = 64) {
-    net_config.run_maintenance = false;  // deterministic tests
-    net = std::make_unique<dht::ChordNetwork>(sim, rng, net_config);
-    net->bootstrap(nodes);
-  }
+  explicit World(std::size_t nodes = 64)
+      : net(quiet_chord(sim, rng, nodes)), dispatcher(*net) {}
 };
 
 SessionConfig joint_config() {
@@ -76,8 +83,10 @@ class SchemeEndToEnd : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(SchemeEndToEnd, SecretEmergesExactlyAtReleaseTime) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config_for(GetParam()),
-                              7);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = config_for(GetParam()),
+                                          .seed = 7});
   session.send(bytes_of("meet me at the bridge"), "bob-token");
 
   // Not released before tr.
@@ -96,8 +105,10 @@ TEST_P(SchemeEndToEnd, SecretEmergesExactlyAtReleaseTime) {
 
 TEST_P(SchemeEndToEnd, WrongReceiverTokenRejectedByCloud) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config_for(GetParam()),
-                              8);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = config_for(GetParam()),
+                                          .seed = 8});
   session.send(bytes_of("msg"), "bob-token");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -114,26 +125,35 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeEndToEnd,
 
 // -- substrate independence: the same protocol over Kademlia -----------------
 
+std::unique_ptr<dht::KademliaNetwork> quiet_kademlia(sim::Simulator& sim,
+                                                     Rng& rng,
+                                                     std::size_t nodes) {
+  dht::KademliaConfig config;
+  config.run_maintenance = false;
+  auto net = std::make_unique<dht::KademliaNetwork>(sim, rng, config);
+  net->bootstrap(nodes);
+  return net;
+}
+
 struct KademliaWorld {
   sim::Simulator sim;
   Rng rng{2024};
   std::unique_ptr<dht::KademliaNetwork> net;
+  SessionDispatcher dispatcher;
   cloud::CloudStore cloud;
 
-  explicit KademliaWorld(std::size_t nodes = 64) {
-    dht::KademliaConfig config;
-    config.run_maintenance = false;
-    net = std::make_unique<dht::KademliaNetwork>(sim, rng, config);
-    net->bootstrap(nodes);
-  }
+  explicit KademliaWorld(std::size_t nodes = 64)
+      : net(quiet_kademlia(sim, rng, nodes)), dispatcher(*net) {}
 };
 
 class SchemeOnKademlia : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(SchemeOnKademlia, EndToEndOverXorMetricDht) {
   KademliaWorld w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config_for(GetParam()),
-                              7);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = config_for(GetParam()),
+                                          .seed = 7});
   session.send(bytes_of("substrate-independent"), "bob");
   w.sim.run_until(session.release_time() - 1.0);
   EXPECT_FALSE(session.secret_released());
@@ -158,7 +178,10 @@ TEST(Protocol, CentralizedStyleSingleHop) {
   c.kind = SchemeKind::kJoint;  // 1x1 joint == centralized storage
   c.shape = PathShape{1, 1};
   c.emerging_time = 600.0;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, c, 9);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = c,
+                                          .seed = 9});
   session.send(bytes_of("short"), "t");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -167,7 +190,10 @@ TEST(Protocol, CentralizedStyleSingleHop) {
 
 TEST(Protocol, HoldersAreDistinctNodes) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, share_config(), 10);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = share_config(),
+                                          .seed = 10});
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   std::set<dht::NodeId> seen;
@@ -186,7 +212,10 @@ TEST(Protocol, HoldersAreDistinctNodes) {
 
 TEST(Protocol, ReportCountsPlausible) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 11);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = joint_config(),
+                                          .seed = 11});
   session.send(bytes_of("m"), "t");
   w.sim.run();
   const SessionReport& report = session.report();
@@ -199,7 +228,10 @@ TEST(Protocol, ReportCountsPlausible) {
 
 TEST(Protocol, ShareSchemeKeyAssignmentsOnlyColumnOne) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, share_config(), 12);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = share_config(),
+                                          .seed = 12});
   session.send(bytes_of("m"), "t");
   w.sim.run();
   EXPECT_EQ(session.report().key_assignments, 3u);  // n carriers of column 1
@@ -213,7 +245,8 @@ TEST(DropAttack, JointSurvivesOneMaliciousHolderPerColumn) {
   // hop graph -- the path through the other holders stays alive.
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 13);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          joint_config(), 13});
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);  // H1,1
@@ -227,7 +260,8 @@ TEST(DropAttack, DisjointDiesWithOneMaliciousHolderPerPath) {
   // Same malicious pattern kills the node-disjoint scheme (Fig. 3 vs 4).
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, disjoint_config(), 13);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          disjoint_config(), 13});
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);  // path 1 cut at column 1
@@ -240,7 +274,8 @@ TEST(DropAttack, DisjointDiesWithOneMaliciousHolderPerPath) {
 TEST(DropAttack, JointDiesWhenAFullColumnIsMalicious) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 14);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          joint_config(), 14});
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[1][0]);
   adv.mark_malicious(session.layout().columns[1][1]);
@@ -253,7 +288,8 @@ TEST(DropAttack, ShareSchemeToleratesMinorityCarrierDrop) {
   // Share-scheme holders carry individual keys, so onion_slots_k = 0.
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 15);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          share_config(), 15});
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[0][2]);  // extra carrier H3,1
   adv.mark_malicious(session.layout().columns[1][2]);  // extra carrier H3,2
@@ -264,7 +300,8 @@ TEST(DropAttack, ShareSchemeToleratesMinorityCarrierDrop) {
 TEST(DropAttack, ShareSchemeDiesWhenMajorityDrops) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 16);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          share_config(), 16});
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[0][0]);
   adv.mark_malicious(session.layout().columns[0][1]);  // 2 of 3 carriers drop
@@ -279,7 +316,8 @@ TEST(ReleaseAhead, AllColumnsCompromisedRestoresAtStart) {
   // ts) plus the captured package restores the secret before tr.
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 17);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          joint_config(), 17});
   session.send(bytes_of("exam questions"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);
@@ -303,7 +341,8 @@ TEST(ReleaseAhead, GapInColumnsBlocksEarlyRestore) {
   // The K3 case of Fig. 2(b): head and tail compromised, middle intact.
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 18);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          joint_config(), 18});
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);
@@ -328,7 +367,8 @@ TEST(ReleaseAhead, CleanPathsLeakNothing) {
   // The K1 case: no malicious holder anywhere.
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 19);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          joint_config(), 19});
   session.send(bytes_of("m"), "t");
   w.sim.run();
   EXPECT_TRUE(session.secret_released());
@@ -341,7 +381,8 @@ TEST(ReleaseAhead, ShareSchemeNeedsThresholdPerColumn) {
   // m = 2 threshold, so no early restore; the protocol still completes.
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 20);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          share_config(), 20});
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][2]);
@@ -366,7 +407,8 @@ TEST(ReleaseAhead, ShareSchemeThresholdInOneColumnCascades) {
   // flagged the divergence.
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 21);
+  TimedReleaseSession session(SessionArgs{w.dispatcher, w.cloud, &adv,
+                                          share_config(), 21});
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);
@@ -387,7 +429,10 @@ TEST(ReleaseAhead, ShareSchemeThresholdInOneColumnCascades) {
 
 TEST(ProtocolChurn, JointSurvivesHolderDeathMidHold) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 22);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = joint_config(),
+                                          .seed = 22});
   session.send(bytes_of("m"), "t");
   const dht::NodeId victim = session.layout().columns[1][0];
   // Kill one column-2 holder while it is holding the package.
@@ -399,7 +444,10 @@ TEST(ProtocolChurn, JointSurvivesHolderDeathMidHold) {
 
 TEST(ProtocolChurn, DisjointLosesPathOnHolderDeath) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, disjoint_config(), 23);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = disjoint_config(),
+                                          .seed = 23});
   session.send(bytes_of("m"), "t");
   // Kill one holder per path mid-hold: both paths die, nothing emerges.
   const dht::NodeId victim1 = session.layout().columns[1][0];
@@ -414,7 +462,10 @@ TEST(ProtocolChurn, DisjointLosesPathOnHolderDeath) {
 
 TEST(ProtocolChurn, TerminalHolderDeathBeforeReleaseLosesItsCopy) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 24);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = joint_config(),
+                                          .seed = 24});
   session.send(bytes_of("m"), "t");
   // Kill one terminal holder after it peeled but before tr: the other
   // terminal holder still delivers.
@@ -430,11 +481,17 @@ TEST(Protocol, ConfigValidation) {
   World w;
   SessionConfig bad = share_config();
   bad.threshold_m = 5;  // > carriers_n
-  EXPECT_THROW(TimedReleaseSession(*w.net, w.cloud, nullptr, bad, 1),
+  EXPECT_THROW(TimedReleaseSession(SessionArgs{.dispatcher = w.dispatcher,
+                                               .cloud = w.cloud,
+                                               .config = bad,
+                                               .seed = 1}),
                PreconditionError);
   SessionConfig tiny = joint_config();
   tiny.emerging_time = 0.5;  // holding period shorter than assembly delay
-  EXPECT_THROW(TimedReleaseSession(*w.net, w.cloud, nullptr, tiny, 1),
+  EXPECT_THROW(TimedReleaseSession(SessionArgs{.dispatcher = w.dispatcher,
+                                               .cloud = w.cloud,
+                                               .config = tiny,
+                                               .seed = 1}),
                PreconditionError);
 }
 
@@ -442,14 +499,26 @@ TEST(Protocol, MalformedPackagesAreDiscarded) {
   // A hostile node spams holders with garbage; the protocol must neither
   // crash nor stall.
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 26);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = joint_config(),
+                                          .seed = 26});
   session.send(bytes_of("m"), "t");
   const dht::NodeId target = session.layout().columns[0][0];
   const dht::NodeId attacker = w.net->alive_ids().front();
   w.net->send_message(attacker, target, bytes_of("complete garbage"));
   w.net->send_message(attacker, target, Bytes{0x01});  // truncated header
+  // The session's own nonce, then a body cut short after the column.
+  BinaryWriter truncated;
+  truncated.u8(1);  // kMsgPackage
+  truncated.u64(session.session_nonce());
+  truncated.u16(1);
+  w.net->send_message(attacker, target, truncated.take());
   w.sim.run();
-  EXPECT_EQ(session.report().malformed_packages, 2u);
+  // Payloads that do not start like a package never reach a session; the
+  // dispatcher counts them. The nonce-prefixed one is the session's to count.
+  EXPECT_EQ(w.dispatcher.malformed_packages(), 2u);
+  EXPECT_EQ(session.report().malformed_packages, 1u);
   EXPECT_TRUE(session.secret_released());
 }
 
@@ -459,7 +528,10 @@ TEST(Protocol, ForgedSessionPackagesCannotHijackHolderSlots) {
   // session must ignore it: the slot is not claimed, the genuine package
   // processes normally, and the secret emerges on time.
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, disjoint_config(), 27);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = disjoint_config(),
+                                          .seed = 27});
   session.send(bytes_of("m"), "t");
   const dht::NodeId victim = session.layout().columns[1][1];
   Bytes fake;
@@ -480,13 +552,19 @@ TEST(Protocol, ForgedSessionPackagesCannotHijackHolderSlots) {
 }
 
 TEST(Protocol, TwoConcurrentSessionsCoexist) {
-  // Sessions chain the network's default handler: two messages with
+  // The world's dispatcher routes by session nonce: two messages with
   // different release times travel the same DHT independently.
   World w(96);
-  TimedReleaseSession early(*w.net, w.cloud, nullptr, joint_config(), 28);
+  TimedReleaseSession early(SessionArgs{.dispatcher = w.dispatcher,
+                                        .cloud = w.cloud,
+                                        .config = joint_config(),
+                                        .seed = 28});
   SessionConfig late_config = joint_config();
   late_config.emerging_time = 7200.0;
-  TimedReleaseSession late(*w.net, w.cloud, nullptr, late_config, 29);
+  TimedReleaseSession late(SessionArgs{.dispatcher = w.dispatcher,
+                                       .cloud = w.cloud,
+                                       .config = late_config,
+                                       .seed = 29});
 
   early.send(bytes_of("first"), "t1");
   late.send(bytes_of("second"), "t2");
@@ -505,7 +583,10 @@ TEST(Protocol, TwoConcurrentSessionsCoexist) {
 
 TEST(Protocol, SendTwiceRejected) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 25);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = joint_config(),
+                                          .seed = 25});
   session.send(bytes_of("m"), "t");
   EXPECT_THROW(session.send(bytes_of("again"), "t"), PreconditionError);
   w.sim.run();
@@ -515,29 +596,36 @@ TEST(Protocol, SendTwiceRejected) {
 
 TEST(Protocol, DispatchedSessionsDeliverLikeChainedOnes) {
   World w;
-  SessionDispatcher dispatcher(*w.net);
   auto first = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 91, &dispatcher);
+      SessionArgs{.dispatcher = w.dispatcher,
+                  .cloud = w.cloud,
+                  .config = joint_config(),
+                  .seed = 91});
   auto second = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 92, &dispatcher);
+      SessionArgs{.dispatcher = w.dispatcher,
+                  .cloud = w.cloud,
+                  .config = joint_config(),
+                  .seed = 92});
   first->send(bytes_of("one"), "t1");
   second->send(bytes_of("two"), "t2");
-  EXPECT_EQ(dispatcher.live_sessions(), 2u);
-  EXPECT_GT(dispatcher.tracked_storage_keys(), 0u);
+  EXPECT_EQ(w.dispatcher.live_sessions(), 2u);
+  EXPECT_GT(w.dispatcher.tracked_storage_keys(), 0u);
 
   w.sim.run();
   ASSERT_TRUE(first->secret_released());
   ASSERT_TRUE(second->secret_released());
   EXPECT_EQ(*first->receiver_decrypt("t1"), bytes_of("one"));
   EXPECT_EQ(*second->receiver_decrypt("t2"), bytes_of("two"));
-  EXPECT_EQ(dispatcher.stray_packages(), 0u);
+  EXPECT_EQ(w.dispatcher.stray_packages(), 0u);
 }
 
 TEST(Protocol, RetireErasesStoredKeysAndDeregisters) {
   World w;
-  SessionDispatcher dispatcher(*w.net);
   auto session = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 93, &dispatcher);
+      SessionArgs{.dispatcher = w.dispatcher,
+                  .cloud = w.cloud,
+                  .config = joint_config(),
+                  .seed = 93});
   session->send(bytes_of("m"), "t");
   w.sim.run();
   ASSERT_TRUE(session->secret_released());
@@ -548,20 +636,22 @@ TEST(Protocol, RetireErasesStoredKeysAndDeregisters) {
   EXPECT_NE(w.net->get(stored_key), nullptr);
 
   session->retire();
-  EXPECT_EQ(dispatcher.live_sessions(), 0u);
-  EXPECT_EQ(dispatcher.tracked_storage_keys(), 0u);
+  EXPECT_EQ(w.dispatcher.live_sessions(), 0u);
+  EXPECT_EQ(w.dispatcher.tracked_storage_keys(), 0u);
   EXPECT_EQ(w.net->get(stored_key), nullptr);
   session->retire();  // idempotent
   // Destroying the retired session must not disturb the dispatcher.
   session.reset();
-  EXPECT_EQ(dispatcher.live_sessions(), 0u);
+  EXPECT_EQ(w.dispatcher.live_sessions(), 0u);
 }
 
 TEST(Protocol, StrayPackagesForRetiredSessionsAreCountedNotDelivered) {
   World w;
-  SessionDispatcher dispatcher(*w.net);
   auto session = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 94, &dispatcher);
+      SessionArgs{.dispatcher = w.dispatcher,
+                  .cloud = w.cloud,
+                  .config = joint_config(),
+                  .seed = 94});
   session->send(bytes_of("m"), "t");
   // Capture a genuine column-1 package off the wire by replaying what the
   // sender emitted: simplest is to let the world run, retire, then poke a
@@ -582,7 +672,52 @@ TEST(Protocol, StrayPackagesForRetiredSessionsAreCountedNotDelivered) {
   const std::vector<dht::NodeId>& alive = w.net->alive_ids();
   w.net->send_message(alive[0], alive[1], forged.take());
   w.sim.run();
-  EXPECT_EQ(dispatcher.stray_packages(), 1u);
+  EXPECT_EQ(w.dispatcher.stray_packages(), 1u);
+}
+
+TEST(Protocol, DispatcherRefusesANetworkWithHandlersInstalled) {
+  // One dispatcher per network and nothing chained: a second dispatcher,
+  // or one over a network that already has a store observer, is refused.
+  World w;
+  EXPECT_THROW(SessionDispatcher{*w.net}, PreconditionError);
+
+  sim::Simulator sim;
+  Rng rng{7};
+  std::unique_ptr<dht::ChordNetwork> net = quiet_chord(sim, rng, 8);
+  net->set_store_observer([](const dht::NodeId&, const dht::NodeId&,
+                             BytesView) {});
+  EXPECT_THROW(SessionDispatcher{*net}, PreconditionError);
+}
+
+TEST(Protocol, DestroyingASessionMidFlightIsSafe) {
+  // A sent session destroyed without retire() halfway through its first
+  // hold: its column-1 forwards are still pending at ts + th. Nothing may
+  // touch the freed session — the pending timers resolve to nothing, and
+  // traffic still addressed to its nonce becomes a counted stray.
+  World w;
+  auto session = std::make_unique<TimedReleaseSession>(
+      SessionArgs{.dispatcher = w.dispatcher,
+                  .cloud = w.cloud,
+                  .config = joint_config(),
+                  .seed = 95});
+  session->send(bytes_of("m"), "t");
+  const std::uint64_t nonce = session->session_nonce();
+  const dht::NodeId holder = session->layout().columns[1][0];
+  w.sim.run_until(session->start_time() + session->holding_period() / 2.0);
+  ASSERT_GT(w.sim.pending(), 0u);
+  session.reset();
+  EXPECT_EQ(w.dispatcher.live_sessions(), 0u);
+  EXPECT_EQ(w.dispatcher.tracked_storage_keys(), 0u);
+
+  // A column-2 package for the dead session, as a late forward would be.
+  const std::uint64_t sent_before = w.net->transport_stats().messages;
+  w.net->send_message(holder, holder,
+                      encode_protocol_package(nonce, 2, 0, bytes_of("onion"),
+                                              {}));
+  w.sim.run();
+  EXPECT_GT(w.dispatcher.stray_packages(), 0u);
+  // The destroyed session's pending forwards sent nothing.
+  EXPECT_EQ(w.net->transport_stats().messages, sent_before + 1);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "dht/churn_driver.hpp"
 #include "dht/kademlia.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace emergence::core {
@@ -20,37 +21,41 @@ namespace {
 
 enum class Backend { kChord, kKademlia };
 
+std::unique_ptr<dht::Network> make_network(
+    Backend backend, sim::Simulator& sim, Rng& rng, std::size_t nodes,
+    bool maintenance, const dht::TransportModel& transport) {
+  if (backend == Backend::kChord) {
+    dht::NetworkConfig config;
+    config.run_maintenance = maintenance;
+    config.replica_repair_interval = 30.0;
+    config.stabilize_interval = 15.0;
+    config.transport = transport;
+    auto chord = std::make_unique<dht::ChordNetwork>(sim, rng, config);
+    chord->bootstrap(nodes);
+    return chord;
+  }
+  dht::KademliaConfig config;
+  config.run_maintenance = maintenance;
+  config.republish_interval = 30.0;
+  config.transport = transport;
+  auto kademlia = std::make_unique<dht::KademliaNetwork>(sim, rng, config);
+  kademlia->bootstrap(nodes);
+  return kademlia;
+}
+
 /// A world over either DHT backend (maintenance off unless churn drives it).
 struct AnyWorld {
   sim::Simulator sim;
   Rng rng;
-  std::unique_ptr<dht::ChordNetwork> chord;
-  std::unique_ptr<dht::KademliaNetwork> kademlia;
-  dht::Network* net = nullptr;
+  std::unique_ptr<dht::Network> net;
+  SessionDispatcher dispatcher;
   cloud::CloudStore cloud;
 
   AnyWorld(Backend backend, std::uint64_t seed, std::size_t nodes = 64,
            bool maintenance = false, dht::TransportModel transport = {})
-      : rng(seed) {
-    if (backend == Backend::kChord) {
-      dht::NetworkConfig config;
-      config.run_maintenance = maintenance;
-      config.replica_repair_interval = 30.0;
-      config.stabilize_interval = 15.0;
-      config.transport = transport;
-      chord = std::make_unique<dht::ChordNetwork>(sim, rng, config);
-      chord->bootstrap(nodes);
-      net = chord.get();
-    } else {
-      dht::KademliaConfig config;
-      config.run_maintenance = maintenance;
-      config.republish_interval = 30.0;
-      config.transport = transport;
-      kademlia = std::make_unique<dht::KademliaNetwork>(sim, rng, config);
-      kademlia->bootstrap(nodes);
-      net = kademlia.get();
-    }
-  }
+      : rng(seed),
+        net(make_network(backend, sim, rng, nodes, maintenance, transport)),
+        dispatcher(*net) {}
 };
 
 struct SchemeSpec {
@@ -135,8 +140,8 @@ TEST(ProtocolProperties, ReportInvariantsAcrossSchemesBackendsAndModes) {
             if (coalition_rng.chance(0.25)) adversary.mark_malicious(id);
           }
 
-          TimedReleaseSession session(*w.net, w.cloud, &adversary, spec.config,
-                                      seed * 17 + 3);
+          TimedReleaseSession session(SessionArgs{
+              w.dispatcher, w.cloud, &adversary, spec.config, seed * 17 + 3});
           session.send(bytes_of("property-payload"), "token");
           w.sim.run();
 
@@ -167,7 +172,10 @@ TEST(ProtocolProperties, ReportInvariantsHoldUnderChurn) {
       config.kind = SchemeKind::kJoint;
       config.shape = PathShape{2, 3};
       config.emerging_time = 900.0;
-      TimedReleaseSession session(*w.net, w.cloud, nullptr, config, seed);
+      TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                              .cloud = w.cloud,
+                                              .config = config,
+                                              .seed = seed});
       session.send(bytes_of("churny"), "token");
 
       dht::ChurnConfig churn_config;
@@ -201,7 +209,10 @@ TEST(ReleaseTiming, FirstDeliveryExactlyAtTrForEveryPathLength) {
     config.kind = SchemeKind::kJoint;
     config.shape = PathShape{2, l};
     config.emerging_time = 1000.0;  // th = 1000/l: inexact for l = 3 and 6
-    TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 77 + l);
+    TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                            .cloud = w.cloud,
+                                            .config = config,
+                                            .seed = 77 + l});
     session.send(bytes_of("timing"), "token");
     w.sim.run();
 
@@ -223,7 +234,10 @@ TEST(ReleaseTiming, ShareSchemeDeliversExactlyAtTrToo) {
   config.carriers_n = 4;
   config.threshold_m = 2;
   config.emerging_time = 700.0;  // th = 233.33..
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 52);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = config,
+                                          .seed = 52});
   session.send(bytes_of("timing"), "token");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -248,7 +262,10 @@ TEST(ReleaseTiming, ExactAtTrUnderWanTransportForEveryPathLength) {
       ASSERT_TRUE(wan.guarantees_exact_delivery(
           config.emerging_time / static_cast<double>(l),
           config.assembly_delay));
-      TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 177 + l);
+      TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                              .cloud = w.cloud,
+                                              .config = config,
+                                              .seed = 177 + l});
       session.send(bytes_of("wan-timing"), "token");
       w.sim.run();
 
@@ -271,7 +288,10 @@ TEST(ReleaseTiming, IdealTransportStaysExactAtTr) {
   config.kind = SchemeKind::kJoint;
   config.shape = PathShape{2, 3};
   config.emerging_time = 900.0;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 62);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = config,
+                                          .seed = 62});
   session.send(bytes_of("ideal-timing"), "token");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -303,7 +323,10 @@ TEST(ReleaseTiming, PartitionOutageDeliversLateButWithinReapSlack) {
   config.emerging_time = 900.0;
   ASSERT_FALSE(w.net->transport().guarantees_exact_delivery(
       config.emerging_time / static_cast<double>(l), config.assembly_delay));
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 72);
+  TimedReleaseSession session(SessionArgs{.dispatcher = w.dispatcher,
+                                          .cloud = w.cloud,
+                                          .config = config,
+                                          .seed = 72});
   session.send(bytes_of("partition-timing"), "token");
   w.sim.run();
 

@@ -24,9 +24,10 @@
 //       snapshot over the wire and fails unless all of them answer.
 //
 // Observability: serve takes --metrics-interval=S (periodic prometheus
-// text dump on stdout), --trace-out=PATH and --trace-sample=RATE (session
-// lifecycle events appended as JSONL, sampled deterministically on the
-// session nonce).
+// text dump on stdout; the status line and the dump both carry the
+// socket's sendto failures by errno class), --trace-out=PATH and
+// --trace-sample=RATE (session lifecycle events appended as JSONL, sampled
+// deterministically on the session nonce).
 //
 // tools/cluster.sh composes these into the 16-node localhost harness.
 #include <unistd.h>
@@ -159,12 +160,18 @@ int cmd_serve(int argc, char** argv) {
                 << " deliveries=" << s.deliveries
                 << " packages_rx=" << r.packages_received
                 << " stuck=" << r.holders_stuck
-                << " malformed=" << s.malformed_frames << std::endl;
+                << " malformed=" << s.malformed_frames;
+      for (const auto& [label, count] : socket.send_errors().by_class())
+        std::cout << " send_" << label << "=" << count;
+      std::cout << std::endl;
     }
     if (metrics_interval > 0.0 && clock.now() >= next_metrics) {
       next_metrics = clock.now() + metrics_interval;
       obs::MetricsRegistry registry;
       daemon.publish_metrics(registry);
+      for (const auto& [label, count] : socket.send_errors().by_class())
+        registry.counter("emergence_udp_send_errors_total",
+                         {{"errno", label}}) = count;
       std::cout << "# metrics t=" << std::fixed << clock.now() << "\n"
                 << registry.to_prometheus() << std::flush;
     }
